@@ -10,10 +10,14 @@ to the sp (or o) basis.  The structure constants are identical for the sp
 and o tags; only the label differs.  ``newell_littlewood`` evaluates one
 constant directly from the triple sum over (alpha, beta, gamma), which gives
 the test suite a second, independently organized route to the same numbers.
+
+The memo table of basis products (``nl``) lives in :mod:`cache`, which can
+persist it.
 """
 
 from __future__ import annotations
 
+from . import cache
 from .partitions import Partition, subpartitions
 from .schur import (
     BasisMismatchError,
@@ -26,7 +30,7 @@ from .schur import (
 
 __all__ = ["newell_littlewood", "bcd_multiply"]
 
-_nl_cache: dict[tuple, dict[Partition, int]] = {}
+_nl_cache: dict[tuple, dict[Partition, int]] = cache.table("nl")
 
 
 def _meet(mu: Partition, nu: Partition) -> Partition:
@@ -100,16 +104,10 @@ def bcd_multiply(a: FormalSum, b: FormalSum, min_degree: int | None = None) -> F
                 continue
             factor = cm * cn
             if mu.is_empty or nu.is_empty:
-                lam = nu if mu.is_empty else mu
-                if min_degree is not None and lam.size < min_degree:
-                    continue
-                cur = out.get(lam, 0) + factor
-                if cur:
-                    out[lam] = _normalize(cur)
-                else:
-                    out.pop(lam, None)
-                continue
-            for lam, mult in _nl_basis_product(mu, nu).items():
+                products = {nu if mu.is_empty else mu: 1}
+            else:
+                products = _nl_basis_product(mu, nu)
+            for lam, mult in products.items():
                 if min_degree is not None and lam.size < min_degree:
                     continue
                 cur = out.get(lam, 0) + factor * mult
@@ -118,7 +116,3 @@ def bcd_multiply(a: FormalSum, b: FormalSum, min_degree: int | None = None) -> F
                 else:
                     out.pop(lam, None)
     return FormalSum._raw(a.basis, out)
-
-
-def clear_caches() -> None:
-    _nl_cache.clear()

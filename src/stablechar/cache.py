@@ -1,9 +1,15 @@
-"""Optional on-disk persistence for the integer tableau caches.
+"""The engine's memo tables and their optional on-disk persistence.
+
+Every memo dict is created here by ``table(name)``; the modules bind theirs
+at import time and look entries up inline.  Entries are immutable and only
+ever inserted, so sharing the tables across threads is safe under the usual
+dict guarantees.
 
 Pointing the ``STABLECHAR_CACHE_DIR`` environment variable at a directory
-makes the command line load previously memoized Littlewood-Richardson data
-on startup and write the merged state back on exit (atomic rename, single
-writer).  Everything stored is integer-valued, so the file is plain JSON.
+makes the command line load the ``PERSISTED`` tables on startup and write
+them back on exit (atomic rename, single writer) as plain JSON.  ``load``
+treats the file as untrusted: it checks every entry and drops a bad table
+whole.
 """
 
 from __future__ import annotations
@@ -12,36 +18,75 @@ import json
 import os
 import tempfile
 
-from . import bcd, schur
-from .partitions import Partition
+from .partitions import EMPTY, Partition
 
 ENV_VAR = "STABLECHAR_CACHE_DIR"
 _FILENAME = "stablechar-cache.json"
 _SCHEMA = 1
+
+_TABLES: dict[str, dict] = {}
+
+# Size rule each persisted table obeys: (|term|, |first key|, |second key|).
+_SIZE_RULES = {
+    "skew": lambda s, lam, mu: s == lam - mu,
+    "product": lambda s, mu, nu: s == mu + nu,
+    "nl": lambda s, mu, nu: s <= mu + nu and (mu + nu - s) % 2 == 0,
+}
+PERSISTED = tuple(_SIZE_RULES)
+
+
+def table(name: str) -> dict:
+    """The memo table called ``name``, created empty on first use."""
+    return _TABLES.setdefault(name, {})
+
+
+def clear_all() -> None:
+    """Empty every memo table (the modules keep their references)."""
+    for memo in _TABLES.values():
+        memo.clear()
 
 
 def _encode_partition(parts: tuple) -> str:
     return ",".join(str(p) for p in parts)
 
 
-def _decode_partition(text: str) -> Partition:
-    return Partition(int(p) for p in text.split(",")) if text else Partition()
-
-
-def _encode_table(table: dict) -> dict:
+def _encode_table(memo: dict) -> dict:
     return {
         "|".join(_encode_partition(k) for k in key): {
             _encode_partition(lam.parts): c for lam, c in value.items()
         }
-        for key, value in table.items()
+        for key, value in memo.items()
     }
 
 
-def _decode_table(data: dict) -> dict:
+def _decode_table(name: str, data) -> dict:
+    """Decode one persisted table; ValueError names the first bad entry."""
+    if not isinstance(data, dict):
+        raise ValueError("not a JSON object")
+    size_ok = _SIZE_RULES[name]
+    seen: dict[str, tuple[Partition, int]] = {}
+
+    def partition(text: str) -> tuple[Partition, int]:
+        if text not in seen:
+            lam = Partition(int(p) for p in text.split(",")) if text else EMPTY
+            seen[text] = (lam, lam.size)
+        return seen[text]
+
     out = {}
     for key, value in data.items():
-        parts_key = tuple(_decode_partition(k).parts for k in key.split("|"))
-        out[parts_key] = {_decode_partition(k): c for k, c in value.items()}
+        try:
+            (first, s1), (second, s2) = map(partition, key.split("|"))
+            entry = {}
+            for text, c in value.items():
+                lam, size = partition(text)
+                if type(c) is not int or c <= 0 or not size_ok(size, s1, s2):
+                    raise ValueError
+                entry[lam] = c
+            if not entry:  # no stored product or skew expansion is zero
+                raise ValueError
+        except (ValueError, AttributeError):
+            raise ValueError(f"bad entry {key!r}") from None
+        out[(first.parts, second.parts)] = entry
     return out
 
 
@@ -49,39 +94,35 @@ def cache_file(directory: str) -> str:
     return os.path.join(directory, _FILENAME)
 
 
-def load(directory: str) -> None:
-    """Merge a cache file into the in-memory caches; silently skip junk."""
+def load(directory: str) -> list[str]:
+    """Merge a cache file into the memo tables.
+
+    Returns one warning per problem: an unreadable, non-object or
+    wrong-schema file is ignored, and a table with a bad entry is dropped
+    whole.  A missing file is not a problem.
+    """
     path = cache_file(directory)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return
-    if data.get("schema") != _SCHEMA:
-        return
-    try:
-        schur._skew_cache.update(_decode_table(data.get("skew", {})))
-        schur._product_cache.update(_decode_table(data.get("product", {})))
-        bcd._nl_cache.update(_decode_table(data.get("nl", {})))
-        for key, c in data.get("lr", {}).items():
-            parts_key = tuple(_decode_partition(k).parts for k in key.split("|"))
-            schur._lr_cache[parts_key] = c
-    except (ValueError, AttributeError):
-        return
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+    except (OSError, ValueError, RecursionError) as exc:
+        return [f"ignoring cache file {path}: {exc}"]
+    if not isinstance(data, dict) or data.get("schema") != _SCHEMA:
+        return [f"ignoring cache file {path}: not a schema {_SCHEMA} object"]
+    warnings = []
+    for name in PERSISTED:
+        try:
+            table(name).update(_decode_table(name, data.get(name, {})))
+        except ValueError as exc:
+            warnings.append(f"ignoring table {name!r} of cache file {path}: {exc}")
+    return warnings
 
 
 def save(directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    payload = {
-        "schema": _SCHEMA,
-        "skew": _encode_table(schur._skew_cache),
-        "product": _encode_table(schur._product_cache),
-        "nl": _encode_table(bcd._nl_cache),
-        "lr": {
-            "|".join(_encode_partition(k) for k in key): c
-            for key, c in schur._lr_cache.items()
-        },
-    }
+    payload = {"schema": _SCHEMA, **{name: _encode_table(table(name)) for name in PERSISTED}}
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-", suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:

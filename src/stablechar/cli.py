@@ -74,16 +74,6 @@ def _parse_pair(text: str) -> tuple[Partition, Partition]:
     return _parse_partition(left), _parse_partition(right)
 
 
-def _sum_json(f: FormalSum) -> dict:
-    return {
-        "schema": 1,
-        "basis": f.basis,
-        "terms": [
-            {"mu": lam.to_json(), "coeff": str(c)} for lam, c in f.sorted_terms()
-        ],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 # ---------------------------------------------------------------------------
@@ -101,7 +91,7 @@ def _cmd_expand(args) -> int:
         lam, mu = _parse_pair(args.skew)
         result = skew_expand(lam, mu)
     if args.json:
-        print(json.dumps(_sum_json(result)))
+        print(json.dumps(result.to_json()))
     else:
         print(result)
     return 0
@@ -125,7 +115,7 @@ def _cmd_kappa(args) -> int:
                     "schema": 1,
                     "degree": args.degree,
                     "graded": {
-                        str(d): _sum_json(expansion.graded[d])["terms"]
+                        str(d): expansion.graded[d].to_json()["terms"]
                         for d in range(args.degree + 1)
                     },
                 }
@@ -463,12 +453,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn(message: str) -> None:
+    print(f"stablechar: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     cache_dir = os.environ.get(cache.ENV_VAR)
     if cache_dir:
-        cache.load(cache_dir)
+        for message in cache.load(cache_dir):
+            _warn(message)
     try:
         code = args.func(args)
     except (ValueError, OSError) as exc:
@@ -478,8 +473,8 @@ def main(argv=None) -> int:
         if cache_dir:
             try:
                 cache.save(cache_dir)
-            except OSError:
-                pass
+            except OSError as exc:
+                _warn(f"cannot save the cache to {cache_dir}: {exc}")
     return code
 
 

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import cache
 from .bcd import bcd_multiply
 from .partitions import (
     EMPTY,
@@ -186,15 +187,8 @@ class Decomposition:
         return str(self.as_sum())
 
     def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "lambda": self.source.to_json(),
-            "basis": self.basis,
-            "terms": [
-                {"mu": mu.to_json(), "coeff": str(c)}
-                for mu, c in self.sorted_terms()
-            ],
-        }
+        # The unpacked "schema" keeps its place in front of "lambda".
+        return {"schema": 1, "lambda": self.source.to_json(), **self.as_sum().to_json()}
 
     @classmethod
     def from_json(cls, data: dict) -> "Decomposition":
@@ -205,7 +199,7 @@ class Decomposition:
         return cls(Partition.from_json(data["lambda"]), data["basis"], terms)
 
 
-_kappa_coeff_cache: dict[tuple, object] = {}
+_kappa_coeff_cache: dict[tuple, object] = cache.table("kappa")
 
 
 def kappa_coefficient(p: Series, mu: Partition):
@@ -386,7 +380,3 @@ def parity_coefficient(p: Series, k: int) -> ParityReport:
     return ParityReport(
         k=k, computed=computed, expected=_normalize(Fraction(expected)), equal=computed == expected
     )
-
-
-def clear_caches() -> None:
-    _kappa_coeff_cache.clear()

@@ -3,9 +3,10 @@
 Two independent tableau algorithms live here and are cross-checked by the
 test suite:
 
-* ``lr_coefficient`` / ``skew_expand`` enumerate column-strict fillings of a
-  fixed skew shape whose reverse reading word (right to left, top to bottom)
-  is a lattice word.
+* ``skew_expand`` enumerates column-strict fillings of a fixed skew shape
+  whose reverse reading word (right to left, top to bottom) is a lattice
+  word, counting them by content; ``lr_coefficient`` reads one coefficient
+  off that expansion.
 * ``schur_multiply`` expands a product by growing the first shape with
   successive horizontal strips, one strip per row of the second shape,
   keeping the prefix condition that makes the combined filling a lattice
@@ -17,9 +18,8 @@ minors are memoized on the surviving column set, and it can truncate every
 minor below a degree floor (each minor is homogeneous in the generator
 grading, so the floor is well defined).
 
-The module-level memo tables hold immutable values keyed by partition
-tuples; entries are only ever inserted, and recomputing one is harmless, so
-sharing them across threads is safe under the usual dict guarantees.
+The memo tables of skew expansions and basis products (``skew`` and
+``product``) live in :mod:`cache`, which can persist them.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
+from . import cache
 from .partitions import EMPTY, Partition, canonical_key
 
 __all__ = [
@@ -205,51 +206,50 @@ class FormalSum:
     def __repr__(self) -> str:
         return f"FormalSum({self.basis!r}, {self.terms!r})"
 
+    def to_json(self) -> dict:
+        """Schema-1 JSON form: terms in ``sorted_terms`` order, coefficients
+        as strings."""
+        return {
+            "schema": 1,
+            "basis": self.basis,
+            "terms": [
+                {"mu": lam.to_json(), "coeff": str(c)} for lam, c in self.sorted_terms()
+            ],
+        }
+
 
 # ---------------------------------------------------------------------------
 # Lattice fillings of a fixed skew shape.
 # ---------------------------------------------------------------------------
 
-_lr_cache: dict[tuple, int] = {}
-_skew_cache: dict[tuple, dict[Partition, int]] = {}
-_product_cache: dict[tuple, dict[Partition, int]] = {}
+_skew_cache: dict[tuple, dict[Partition, int]] = cache.table("skew")
+_product_cache: dict[tuple, dict[Partition, int]] = cache.table("product")
 
 
-def _lattice_fillings(lam: Partition, mu: Partition, content: Partition | None):
-    """Backtrack over column-strict lattice fillings of lam/mu.
+def _lattice_fillings(lam: Partition, mu: Partition) -> dict[tuple, int]:
+    """Count column-strict lattice fillings of lam/mu by their content.
 
     Cells are visited in reverse reading order so the lattice condition can
-    be enforced as each entry is placed.  With ``content`` fixed the return
-    value is the number of fillings; otherwise a dict counting fillings by
-    their content.
+    be enforced as each entry is placed.
     """
     lamp = lam.parts
     nrows = len(lamp)
     mup = [mu.part(i) for i in range(nrows)]
     counts = [0] * nrows  # entry values never exceed the row index + 1
-    cap = content.parts if content is not None else None
-    if cap is not None and len(cap) > nrows:
-        return 0
     tally: dict[tuple, int] = {}
-    total = 0
 
     def do_row(r: int, prev_row: tuple) -> None:
-        nonlocal total
         if r == nrows:
-            if cap is None:
-                key = tuple(counts)
-                while key and key[-1] == 0:
-                    key = key[:-1]
-                tally[key] = tally.get(key, 0) + 1
-            else:
-                total += 1
+            key = tuple(counts)
+            while key and key[-1] == 0:
+                key = key[:-1]
+            tally[key] = tally.get(key, 0) + 1
             return
         width = lamp[r]
         inner = mup[r]
         cur = [0] * (width + 1)
 
         def do_cell(c: int) -> None:
-            nonlocal total
             if c < inner:
                 do_row(r + 1, tuple(cur))
                 return
@@ -257,13 +257,9 @@ def _lattice_fillings(lam: Partition, mu: Partition, content: Partition | None):
             if c < len(prev_row) and prev_row[c]:
                 vmin = prev_row[c] + 1
             vmax = cur[c + 1] if c + 1 < width else r + 1
-            if cap is not None and vmax > len(cap):
-                vmax = len(cap)
             for v in range(vmin, vmax + 1):
                 idx = v - 1
                 if v > 1 and counts[idx - 1] <= counts[idx]:
-                    continue
-                if cap is not None and counts[idx] >= cap[idx]:
                     continue
                 counts[idx] += 1
                 cur[c] = v
@@ -274,24 +270,15 @@ def _lattice_fillings(lam: Partition, mu: Partition, content: Partition | None):
         do_cell(width - 1)
 
     do_row(0, ())
-    return total if cap is not None else tally
+    return tally
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson coefficient: multiplicity of lam in mu * nu.
-
-    Counts column-strict fillings of lam/mu with content nu whose reverse
-    reading word is a lattice word; zero whenever the sizes do not add up
-    or mu is not contained in lam.
-    """
-    if lam.size != mu.size + nu.size or not lam.contains(mu):
+    """Littlewood-Richardson coefficient: multiplicity of lam in mu * nu,
+    read off the skew expansion of lam/mu."""
+    if lam.size != mu.size + nu.size:
         return 0
-    key = (lam.parts, mu.parts, nu.parts)
-    cached = _lr_cache.get(key)
-    if cached is None:
-        cached = _lattice_fillings(lam, mu, nu)
-        _lr_cache[key] = cached
-    return cached
+    return skew_expand(lam, mu).coefficient(nu)
 
 
 def skew_expand(lam: Partition, mu: Partition) -> FormalSum:
@@ -301,7 +288,7 @@ def skew_expand(lam: Partition, mu: Partition) -> FormalSum:
     key = (lam.parts, mu.parts)
     cached = _skew_cache.get(key)
     if cached is None:
-        raw = _lattice_fillings(lam, mu, None)
+        raw = _lattice_fillings(lam, mu)
         cached = {Partition(t): c for t, c in raw.items()}
         _skew_cache[key] = cached
     return FormalSum._raw("schur", dict(cached))
@@ -384,21 +371,11 @@ def schur_multiply(a: FormalSum, b: FormalSum) -> FormalSum:
     for mu, cm in a.terms.items():
         for nu, cn in b.terms.items():
             factor = cm * cn
-            if mu.is_empty:
-                cur = out.get(nu, 0) + factor
-                if cur:
-                    out[nu] = _normalize(cur)
-                else:
-                    out.pop(nu, None)
-                continue
-            if nu.is_empty:
-                cur = out.get(mu, 0) + factor
-                if cur:
-                    out[mu] = _normalize(cur)
-                else:
-                    out.pop(mu, None)
-                continue
-            for lam, mult in _schur_basis_product(mu, nu).items():
+            if mu.is_empty or nu.is_empty:
+                products = {nu if mu.is_empty else mu: 1}
+            else:
+                products = _schur_basis_product(mu, nu)
+            for lam, mult in products.items():
                 cur = out.get(lam, 0) + factor * mult
                 if cur:
                     out[lam] = _normalize(cur)
@@ -490,10 +467,3 @@ def dual_jacobi_trudi(
         return acc
 
     return minor(full)
-
-
-def clear_caches() -> None:
-    """Drop all memoized tableau data (mainly for benchmarks and tests)."""
-    _lr_cache.clear()
-    _skew_cache.clear()
-    _product_cache.clear()

@@ -3,6 +3,9 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from stablechar import cache
 from stablechar.embeddings import Decomposition
 
 
@@ -243,6 +246,52 @@ def test_cache_round_trip(tmp_path):
     data = json.loads((cache_dir / "stablechar-cache.json").read_text(encoding="utf-8"))
     assert data["schema"] == 1
     assert "3,2,2|1,1" in data["skew"]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"schema": 1, "product": {"1|1": {"7,7": 5}}},  # sizes do not add up
+        {"schema": 1, "product": {"1|1": {"2": "1", "1,1": "1"}}},  # string coefficients
+        {"schema": 1, "product": {"1|1": {}}},  # no product is zero
+        [],  # not an object
+        {"schema": 1, "skew": {"2|1": {"1": 1}}, "product": {"1|1": {"3,4": 1}}},
+        {"schema": 2, "product": {"1|1": {"7,7": 5}}},
+        "not json",
+        "[" * 100000,
+    ],
+)
+def test_corrupt_cache_is_ignored_with_warning(tmp_path, content):
+    (tmp_path / "stablechar-cache.json").write_text(
+        content if isinstance(content, str) else json.dumps(content), encoding="utf-8"
+    )
+    env = {"STABLECHAR_CACHE_DIR": str(tmp_path)}
+    proc = run_cli("expand", "--multiply", "1/1", env_extra=env)
+    assert proc.stdout.strip() == "s[2] + s[1,1]"
+    assert "stablechar: warning: ignoring" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_failed_cache_save_warns(tmp_path):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("", encoding="utf-8")
+    env = {"STABLECHAR_CACHE_DIR": str(not_a_dir)}
+    proc = run_cli("expand", "--skew", "3,2,2/1,1", env_extra=env)
+    assert proc.stdout.strip() == "s[3,1,1] + s[2,2,1]"
+    assert proc.stderr.startswith("stablechar: warning: cannot save the cache")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_cache_persists_tables_and_reloads_them(tmp_path):
+    env = {"STABLECHAR_CACHE_DIR": str(tmp_path)}
+    run_cli("verify", "--prop", "eqquad", "--max", "2", env_extra=env)
+    data = json.loads((tmp_path / "stablechar-cache.json").read_text(encoding="utf-8"))
+    assert set(data) == {"schema", *cache.PERSISTED}
+    assert all(data[name] for name in cache.PERSISTED)
+    cache.clear_all()
+    assert cache.load(str(tmp_path)) == []
+    for name in cache.PERSISTED:
+        assert cache._encode_table(cache.table(name)) == data[name]
 
 
 def test_unknown_command_exits_two():
