@@ -11,8 +11,15 @@ and o tags; only the label differs.  ``newell_littlewood`` evaluates one
 constant directly from the triple sum over (alpha, beta, gamma), which gives
 the test suite a second, independently organized route to the same numbers.
 
-The memo table of basis products (``nl``) lives in :mod:`cache`, which can
-persist it.
+``_nl_basis_product`` merges the (beta, gamma) pairs of every alpha into
+one order-free dict before it looks up any s_beta * s_gamma.  Given a degree
+floor from ``bcd_multiply(..., min_degree)`` it sums only the alpha that
+reach the floor.
+
+The memo tables live in :mod:`cache`: ``nl`` holds full basis products and
+can be persisted; ``nl_truncated`` holds products cut below a floor and is
+never written to disk.  A cached full product also answers truncated
+requests.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from .partitions import Partition, subpartitions
 from .schur import (
     BasisMismatchError,
     FormalSum,
-    _normalize,
+    _Accumulator,
+    _bilinear,
     _schur_basis_product,
     lr_coefficient,
     skew_expand,
@@ -31,35 +39,59 @@ from .schur import (
 __all__ = ["newell_littlewood", "bcd_multiply"]
 
 _nl_cache: dict[tuple, dict[Partition, int]] = cache.table("nl")
+# Products truncated below a degree floor, keyed (mu, nu, largest |alpha|);
+# never persisted, since ``nl`` holds full products only.
+_nl_truncated_cache: dict[tuple, dict[Partition, int]] = cache.table("nl_truncated")
 
 
 def _meet(mu: Partition, nu: Partition) -> Partition:
     return Partition(min(a, b) for a, b in zip(mu.parts, nu.parts))
 
 
-def _nl_basis_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
+def _nl_basis_product(
+    mu: Partition, nu: Partition, min_degree: int | None = None
+) -> dict[Partition, int]:
+    """sp_mu * sp_nu, or at least its terms of degree >= ``min_degree``.
+
+    A term of degree |mu| + |nu| - 2|alpha| comes from alpha alone, so a
+    floor bounds |alpha|.  The (beta, gamma) pairs of every alpha are merged
+    into one order-free dict before any s_beta * s_gamma is looked up.
+    """
     if mu.parts > nu.parts:
         mu, nu = nu, mu
     key = (mu.parts, nu.parts)
     cached = _nl_cache.get(key)
+    if cached is None and min_degree is not None:
+        top = (mu.size + nu.size - min_degree) // 2  # largest |alpha| that counts
+        cached = _nl_truncated_cache.get(key + (top,))
     if cached is not None:
         return cached
-    out: dict[Partition, int] = {}
-    for alpha in subpartitions(_meet(mu, nu)):
-        left = skew_expand(mu, alpha)
-        right = skew_expand(nu, alpha)
-        for beta, cb in left.terms.items():
-            for gamma, cg in right.terms.items():
-                factor = cb * cg
-                if beta.is_empty:
-                    out[gamma] = out.get(gamma, 0) + factor
-                    continue
-                if gamma.is_empty:
-                    out[beta] = out.get(beta, 0) + factor
-                    continue
-                for lam, mult in _schur_basis_product(beta, gamma).items():
-                    out[lam] = out.get(lam, 0) + factor * mult
-    _nl_cache[key] = out
+    meet = _meet(mu, nu)
+    if min_degree is None or top >= meet.size:
+        top, memo = meet.size, _nl_cache
+    else:
+        key, memo = key + (top,), _nl_truncated_cache
+    pairs: dict[tuple, int] = {}
+    shapes: dict[tuple, Partition] = {}
+    for alpha in subpartitions(meet):
+        if alpha.size > top:
+            continue
+        left = skew_expand(mu, alpha).terms
+        right = skew_expand(nu, alpha).terms
+        for shape in (*left, *right):
+            shapes[shape.parts] = shape
+        for beta, cb in left.items():
+            for gamma, cg in right.items():
+                b, g = beta.parts, gamma.parts
+                pair = (b, g) if b <= g else (g, b)
+                pairs[pair] = pairs.get(pair, 0) + cb * cg
+    total = _Accumulator()
+    for (b, g), factor in pairs.items():
+        # () sorts first, so only the first shape of a pair can be empty.
+        products = _schur_basis_product(shapes[b], shapes[g]) if b else {shapes[g]: 1}
+        total.add(products.items(), factor)
+    out = total.terms()
+    memo[key] = out
     return out
 
 
@@ -91,28 +123,11 @@ def bcd_multiply(a: FormalSum, b: FormalSum, min_degree: int | None = None) -> F
     """Bilinear extension of the Newell-Littlewood product (sp or o basis).
 
     ``min_degree`` drops output terms below the given degree; useful when
-    only the top degrees of a long product chain are wanted.
+    only the top degrees of a long product chain are wanted.  The basis
+    products are then only built down to that degree.
     """
     if a.basis != b.basis:
         raise BasisMismatchError(f"{a.basis} vs {b.basis}")
     if a.basis not in ("sp", "o"):
         raise BasisMismatchError("bcd_multiply needs the sp or o basis")
-    out: dict[Partition, object] = {}
-    for mu, cm in a.terms.items():
-        for nu, cn in b.terms.items():
-            if min_degree is not None and mu.size + nu.size < min_degree:
-                continue
-            factor = cm * cn
-            if mu.is_empty or nu.is_empty:
-                products = {nu if mu.is_empty else mu: 1}
-            else:
-                products = _nl_basis_product(mu, nu)
-            for lam, mult in products.items():
-                if min_degree is not None and lam.size < min_degree:
-                    continue
-                cur = out.get(lam, 0) + factor * mult
-                if cur:
-                    out[lam] = _normalize(cur)
-                else:
-                    out.pop(lam, None)
-    return FormalSum._raw(a.basis, out)
+    return FormalSum._raw(a.basis, _bilinear(a, b, _nl_basis_product, min_degree))

@@ -9,7 +9,10 @@ Pointing the ``STABLECHAR_CACHE_DIR`` environment variable at a directory
 makes the command line load the ``PERSISTED`` tables on startup and write
 them back on exit (atomic rename, single writer) as plain JSON.  ``load``
 treats the file as untrusted: it checks every entry and drops a bad table
-whole.
+whole.  ``save`` leaves the file alone when it already holds every entry,
+that is when no persisted table grew since a clean ``load`` of it.  Only
+full products persist; the ``nl_truncated`` table of products cut below a
+degree floor stays in memory.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ _FILENAME = "stablechar-cache.json"
 _SCHEMA = 1
 
 _TABLES: dict[str, dict] = {}
+
+# (file path, persisted table sizes) when that file is known to hold every
+# entry of the persisted tables; tables only grow until ``clear_all``.
+_in_sync: tuple[str, dict[str, int]] | None = None
 
 # Size rule each persisted table obeys: (|term|, |first key|, |second key|).
 _SIZE_RULES = {
@@ -42,8 +49,14 @@ def table(name: str) -> dict:
 
 def clear_all() -> None:
     """Empty every memo table (the modules keep their references)."""
+    global _in_sync
+    _in_sync = None
     for memo in _TABLES.values():
         memo.clear()
+
+
+def _sizes() -> dict[str, int]:
+    return {name: len(table(name)) for name in PERSISTED}
 
 
 def _encode_partition(parts: tuple) -> str:
@@ -101,6 +114,7 @@ def load(directory: str) -> list[str]:
     wrong-schema file is ignored, and a table with a bad entry is dropped
     whole.  A missing file is not a problem.
     """
+    global _in_sync
     path = cache_file(directory)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -112,25 +126,40 @@ def load(directory: str) -> list[str]:
     if not isinstance(data, dict) or data.get("schema") != _SCHEMA:
         return [f"ignoring cache file {path}: not a schema {_SCHEMA} object"]
     warnings = []
+    complete = True  # the file holds every entry of the tables
     for name in PERSISTED:
         try:
-            table(name).update(_decode_table(name, data.get(name, {})))
+            decoded = _decode_table(name, data.get(name, {}))
         except ValueError as exc:
             warnings.append(f"ignoring table {name!r} of cache file {path}: {exc}")
+            complete = False
+            continue
+        memo = table(name)
+        memo.update(decoded)
+        complete = complete and len(memo) == len(decoded)
+    if complete:
+        _in_sync = (path, _sizes())
     return warnings
 
 
 def save(directory: str) -> None:
+    """Write the persisted tables, unless the file already holds them all."""
+    global _in_sync
+    path = cache_file(directory)
+    sizes = _sizes()
+    if _in_sync == (path, sizes):
+        return
     os.makedirs(directory, exist_ok=True)
     payload = {"schema": _SCHEMA, **{name: _encode_table(table(name)) for name in PERSISTED}}
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-", suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
-        os.replace(tmp, cache_file(directory))
+        os.replace(tmp, path)
     except BaseException:
         try:
             os.unlink(tmp)
         except OSError:
             pass
         raise
+    _in_sync = (path, sizes)

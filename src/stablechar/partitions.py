@@ -26,9 +26,14 @@ __all__ = [
 
 
 class Partition:
-    """A weakly decreasing sequence of positive integers; () is empty."""
+    """A weakly decreasing sequence of positive integers; () is empty.
 
-    __slots__ = ("parts",)
+    ``Partition(...)`` checks its input.  ``Partition._trusted`` skips the
+    checks and is only for tuples the tableau code builds itself, which are
+    partitions by construction.
+    """
+
+    __slots__ = ("parts", "size")
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(int(p) for p in parts)
@@ -39,10 +44,15 @@ class Partition:
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"parts must be weakly decreasing: {parts!r}")
         self.parts = parts
+        self.size = sum(parts)
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
+    @classmethod
+    def _trusted(cls, parts: tuple) -> "Partition":
+        """Wrap a tuple already known to be a partition without trailing zeros."""
+        out = object.__new__(cls)
+        out.parts = parts
+        out.size = sum(parts)
+        return out
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -151,7 +161,7 @@ def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, descending lexicographic (canonical order)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [Partition(t) for t in _partitions_tuples(n, n)]
+    return [Partition._trusted(t) for t in _partitions_tuples(n, n)]
 
 
 def partitions_through(max_size: int) -> Iterator[Partition]:
@@ -165,14 +175,14 @@ def subpartitions(lam: Partition) -> list[Partition]:
     parts = lam.parts
     out: list[Partition] = []
 
-    def rec(i: int, cap: int, acc: list[int]) -> None:
-        out.append(Partition(acc))
+    def rec(i: int, cap: int, acc: tuple) -> None:
+        out.append(Partition._trusted(acc))
         if i == len(parts):
             return
         for v in range(1, min(parts[i], cap) + 1):
-            rec(i + 1, v, acc + [v])
+            rec(i + 1, v, acc + (v,))
 
-    rec(0, parts[0] if parts else 0, [])
+    rec(0, parts[0] if parts else 0, ())
     return out
 
 

@@ -10,7 +10,14 @@ test suite:
 * ``schur_multiply`` expands a product by growing the first shape with
   successive horizontal strips, one strip per row of the second shape,
   keeping the prefix condition that makes the combined filling a lattice
-  filling.
+  filling.  The strips are added level by level, and partial fillings that
+  agree on the shape and on the last strip's prefix are merged and extended
+  once.
+
+``schur_multiply`` and ``bcd.bcd_multiply`` share one bilinear accumulator
+that scales both operands to integer coefficients, adds ints, and divides
+once per output term; the minors of ``dual_jacobi_trudi`` are summed the
+same way.
 
 ``dual_jacobi_trudi`` is the ring-generic determinant evaluator used to
 rebuild images of arbitrary shapes from images of single columns.  Its
@@ -25,6 +32,7 @@ The memo tables of skew expansions and basis products (``skew`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from . import cache
@@ -53,6 +61,19 @@ def _normalize(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
+
+
+def _integers(values) -> tuple[int, list[int]]:
+    """(d, [d * x for x in values]) with d the lcm of the denominators of
+    the int or ``Fraction`` values."""
+    values = list(values)
+    den = 1
+    for x in values:
+        if type(x) is not int:
+            den = lcm(den, x.denominator)
+    if den == 1:
+        return 1, values
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 class FormalSum:
@@ -289,7 +310,7 @@ def skew_expand(lam: Partition, mu: Partition) -> FormalSum:
     cached = _skew_cache.get(key)
     if cached is None:
         raw = _lattice_fillings(lam, mu)
-        cached = {Partition(t): c for t, c in raw.items()}
+        cached = {Partition._trusted(t): c for t, c in raw.items()}
         _skew_cache[key] = cached
     return FormalSum._raw("schur", dict(cached))
 
@@ -302,51 +323,56 @@ def skew_expand(lam: Partition, mu: Partition) -> FormalSum:
 def _strip_product(base_parts: tuple, content_parts: tuple) -> dict[tuple, int]:
     """Expand s_base * s_content by adding one horizontal strip per row of
     ``content``, subject to the prefix condition: cells of row t in the
-    first r rows never exceed cells of row t-1 in the first r-1 rows."""
-    shapes: dict[tuple, int] = {}
+    first r rows never exceed cells of row t-1 in the first r-1 rows.
 
-    def distribute(t: int, shape: tuple, prev_prefix: tuple | None) -> None:
-        if t == len(content_parts):
-            shapes[shape] = shapes.get(shape, 0) + 1
-            return
-        need = content_parts[t]
-        base = shape
-        nbase = len(base)
+    The strips are added level by level.  Level t holds
+    ``{(shape, prefix of row t's strip): count of partial fillings}``, so
+    partial fillings that agree on both are extended once; the last level
+    keys on the shape alone.  A strip can put at most ``shape[r]`` cells in
+    the rows below row r, so row r takes at least ``remaining - shape[r]``
+    cells and no branch runs out of room.
+    """
+    states: dict = {(base_parts, None): 1}
+    last = len(content_parts) - 1
+    for t, need in enumerate(content_parts):
+        merged: dict = {}
+        final = t == last
+        for (base, prev), count in states.items():
+            basez = base + (0,)
+            if prev is None:  # row 0 of the content: no prefix condition
+                prev = (need,) * len(basez)
 
-        def rows(r: int, remaining: int, adds: tuple, cum: int) -> None:
-            if remaining == 0:
-                new_shape = tuple(
-                    (base[i] if i < nbase else 0) + (adds[i] if i < len(adds) else 0)
-                    for i in range(max(nbase, len(adds)))
-                )
-                while new_shape and new_shape[-1] == 0:
-                    new_shape = new_shape[:-1]
-                prefix = [0]
-                run = 0
-                for i in range(len(new_shape) + 1):
-                    run += adds[i] if i < len(adds) else 0
-                    prefix.append(run)
-                distribute(t + 1, new_shape, tuple(prefix))
-                return
-            if r > nbase:
-                return
-            if r == 0:
-                cap = remaining
-            else:
-                cap = base[r - 1] - (base[r] if r < nbase else 0)
-                if cap > remaining:
-                    cap = remaining
-            if prev_prefix is not None:
-                bound = prev_prefix[r if r < len(prev_prefix) else -1] - cum
-                if cap > bound:
-                    cap = bound
-            for a in range(cap, -1, -1):
-                rows(r + 1, remaining - a, adds + (a,), cum + a)
+            # new: rows 0..r-1 of the grown shape; prefix[i]: strip cells in
+            # rows 0..i-1.  Rows with a single choice are taken in the loop.
+            def rows(r: int, remaining: int, cum: int, new: tuple, prefix: tuple) -> None:
+                while remaining:
+                    here = basez[r]
+                    cap = prev[r] - cum
+                    if r and cap > basez[r - 1] - here:
+                        cap = basez[r - 1] - here
+                    if cap > remaining:
+                        cap = remaining
+                    least = remaining - here if remaining > here else 0
+                    if cap != least:
+                        for a in range(cap, least - 1, -1):
+                            c = cum + a
+                            rows(r + 1, remaining - a, c, new + (here + a,), prefix + (c,))
+                        return
+                    cum += cap
+                    remaining -= cap
+                    new += (here + cap,)
+                    prefix += (cum,)
+                    r += 1
+                shape = new + base[r:]
+                if final:
+                    merged[shape] = merged.get(shape, 0) + count
+                else:
+                    key = (shape, prefix + (need,) * (len(shape) - r))
+                    merged[key] = merged.get(key, 0) + count
 
-        rows(0, need, (), 0)
-
-    distribute(0, base_parts, None)
-    return shapes
+            rows(0, need, 0, (), (0,))
+        states = merged
+    return states
 
 
 def _schur_basis_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
@@ -358,30 +384,87 @@ def _schur_basis_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
     cached = _product_cache.get(key)
     if cached is None:
         raw = _strip_product(mu.parts, nu.parts)
-        cached = {Partition(t): c for t, c in raw.items()}
+        cached = {Partition._trusted(t): c for t, c in raw.items()}
         _product_cache[key] = cached
     return cached
+
+
+class _Accumulator:
+    """Integer multiples of basis-indexed dicts, summed on the parts tuples
+    (which keeps the hashing in C) and divided by a common denominator once
+    at the end."""
+
+    __slots__ = ("acc", "shapes")
+
+    def __init__(self):
+        self.acc: dict[tuple, int] = {}
+        self.shapes: dict[tuple, Partition] = {}
+
+    def add(self, items, factor: int, min_degree: int | None = None) -> None:
+        """Add factor * mult for each (lam, mult) of degree >= min_degree."""
+        acc = self.acc
+        for lam, mult in items:
+            if min_degree is not None and lam.size < min_degree:
+                continue
+            key = lam.parts
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = factor * mult
+                self.shapes[key] = lam
+            else:
+                acc[key] = cur + factor * mult
+
+    def terms(self, den: int = 1) -> dict:
+        """The nonzero sums, each divided by ``den``."""
+        shapes = self.shapes
+        if den == 1:
+            return {shapes[key]: c for key, c in self.acc.items() if c}
+        return {shapes[key]: _normalize(Fraction(c, den)) for key, c in self.acc.items() if c}
+
+
+def _combination(pairs) -> dict:
+    """Terms of the sum of c * x over the (int c, FormalSum x) in ``pairs``."""
+    scaled = [(c, *_integers(x.terms.values()), x.terms) for c, x in pairs]
+    den = 1
+    for _, d, _, _ in scaled:
+        den = lcm(den, d)
+    total = _Accumulator()
+    for c, d, ints, terms in scaled:
+        total.add(zip(terms, ints), c * (den // d))
+    return total.terms(den)
+
+
+def _bilinear(a: FormalSum, b: FormalSum, basis_product, min_degree: int | None = None) -> dict:
+    """Terms of the bilinear extension of ``basis_product`` to a and b.
+
+    Both operands are scaled to integer coefficients first, so the inner
+    loop adds ints; each output coefficient is divided once at the end.
+    With ``min_degree`` set, terms of lower degree are dropped and
+    ``basis_product`` is called with the floor as a third argument.
+    """
+    den_a, coeffs_a = _integers(a.terms.values())
+    den_b, coeffs_b = _integers(b.terms.values())
+    terms_b = list(zip(b.terms, coeffs_b))
+    total = _Accumulator()
+    for mu, cm in zip(a.terms, coeffs_a):
+        for nu, cn in terms_b:
+            if min_degree is not None and mu.size + nu.size < min_degree:
+                continue
+            if mu.is_empty or nu.is_empty:
+                products = {nu if mu.is_empty else mu: 1}
+            elif min_degree is None:
+                products = basis_product(mu, nu)
+            else:
+                products = basis_product(mu, nu, min_degree)
+            total.add(products.items(), cm * cn, min_degree)
+    return total.terms(den_a * den_b)
 
 
 def schur_multiply(a: FormalSum, b: FormalSum) -> FormalSum:
     """Bilinear extension of the Littlewood-Richardson product."""
     if a.basis != "schur" or b.basis != "schur":
         raise BasisMismatchError("schur_multiply needs both operands in the schur basis")
-    out: dict[Partition, object] = {}
-    for mu, cm in a.terms.items():
-        for nu, cn in b.terms.items():
-            factor = cm * cn
-            if mu.is_empty or nu.is_empty:
-                products = {nu if mu.is_empty else mu: 1}
-            else:
-                products = _schur_basis_product(mu, nu)
-            for lam, mult in products.items():
-                cur = out.get(lam, 0) + factor * mult
-                if cur:
-                    out[lam] = _normalize(cur)
-                else:
-                    out.pop(lam, None)
-    return FormalSum._raw("schur", out)
+    return FormalSum._raw("schur", _bilinear(a, b, _schur_basis_product))
 
 
 def omega(a: FormalSum) -> FormalSum:
@@ -450,7 +533,7 @@ def dual_jacobi_trudi(
         if max_deficit is not None:
             weight = suffix[i] + sum(j for j in range(r) if mask & (1 << j))
             floor = weight - max_deficit
-        acc = FormalSum.zero(basis)
+        expansion = []
         pos = 0
         for j in range(r):
             bit = 1 << j
@@ -461,8 +544,9 @@ def dual_jacobi_trudi(
                 sub = minor(mask ^ bit)
                 if sub:
                     term = mult(g, sub) if floor is None else mult(g, sub, floor)
-                    acc = acc + (term.scaled(-1) if pos % 2 else term)
+                    expansion.append((-1 if pos % 2 else 1, term))
             pos += 1
+        acc = FormalSum._raw(basis, _combination(expansion))
         memo[mask] = acc
         return acc
 

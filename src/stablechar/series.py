@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .partitions import EMPTY, Partition, partitions_of
-from .schur import FormalSum, schur_multiply
+from .schur import FormalSum, _integers, schur_multiply
 
 __all__ = [
     "Series",
@@ -207,31 +207,36 @@ class KappaExpansion:
 
 
 def _det(rows: list[list]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant: each row is scaled to integers by the lcm of its
+    denominators, Bareiss's fraction-free elimination (Math. Comp. 22, 1968)
+    runs on the integer matrix, and the result is divided once."""
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+    scale = 1
+    m = []
+    for row in rows:
+        den, ints = _integers(row)
+        scale *= den
+        m.append(ints)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1] if n else 1, scale)
 
 
 def product_coefficient(p: Series, lam: Partition):

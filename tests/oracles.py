@@ -2,12 +2,14 @@
 
 None of these share code paths with the package: partition counts come from
 the pentagonal-number recurrence, Schur products from the h-determinant plus
-the Pieri rule, and rectangle skews from the rotated-complement rule.
+the Pieri rule, rectangle skews from the rotated-complement rule, and
+determinants from the Leibniz permutation expansion.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 from stablechar.partitions import Partition
@@ -93,6 +95,18 @@ def jt_product(mu: Partition, nu: Partition) -> dict:
             else:
                 out.pop(shape, None)
     return out
+
+
+def leibniz_det(rows: list[list]) -> Fraction:
+    """Determinant as the signed sum over permutations of products."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        term = Fraction(_perm_sign(perm))
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
 
 
 def _perm_sign(perm: tuple) -> int:

@@ -1,8 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from stablechar import cache
 from stablechar.bcd import bcd_multiply, newell_littlewood
 from stablechar.partitions import EMPTY, Partition, partitions_through
 from stablechar.schur import BasisMismatchError, FormalSum, schur_multiply
@@ -114,3 +116,32 @@ def test_min_degree_filter():
     filtered = bcd_multiply(sp(2, 1), sp(2, 1), min_degree=6)
     assert filtered == full.restricted(min_degree=6)
     assert any(lam.size < 6 for lam in full.terms)
+
+
+def _random_sp_sum(rng, pool):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        c = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+        terms[rng.choice(pool)] = c
+    return FormalSum("sp", terms)
+
+
+def test_truncated_rational_products_match_full_products():
+    rng = random.Random(3131)
+    pool = list(partitions_through(5))
+    cache.clear_all()  # truncated products are built only before full ones
+    for _ in range(12):
+        a, b = _random_sp_sum(rng, pool), _random_sp_sum(rng, pool)
+        top = max(mu.size for mu in a.terms) + max(nu.size for nu in b.terms)
+        truncated = {f: bcd_multiply(a, b, min_degree=f) for f in range(top + 1, -1, -1)}
+        full = bcd_multiply(a, b)
+        for floor, product in truncated.items():
+            assert product == full.restricted(min_degree=floor), floor
+    assert cache.table("nl_truncated")
+    # Only full products reach the persisted table.
+    stored = {key: dict(value) for key, value in cache.table("nl").items()}
+    cache.clear_all()
+    for (mp, np_), value in stored.items():
+        mu, nu = Partition(mp), Partition(np_)
+        again = bcd_multiply(FormalSum.single("sp", mu), FormalSum.single("sp", nu))
+        assert again.terms == value, (mu, nu)

@@ -2,15 +2,21 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import stablechar
 from stablechar import cache
 from stablechar.embeddings import Decomposition
+
+# The child processes import the same copy of the package as this one.
+_SRC = str(Path(stablechar.__file__).resolve().parents[1])
 
 
 def run_cli(*args, env_extra=None, expect_code=0):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -292,6 +298,36 @@ def test_cache_persists_tables_and_reloads_them(tmp_path):
     assert cache.load(str(tmp_path)) == []
     for name in cache.PERSISTED:
         assert cache._encode_table(cache.table(name)) == data[name]
+
+
+def test_cache_file_is_rewritten_only_when_it_changes(tmp_path):
+    env = {"STABLECHAR_CACHE_DIR": str(tmp_path)}
+    path = tmp_path / "stablechar-cache.json"
+    run_cli("expand", "--skew", "3,2,2/1,1", env_extra=env)
+    before = os.stat(path)
+    run_cli("expand", "--skew", "3,2,2/1,1", env_extra=env)
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    run_cli("expand", "--multiply", "2,1/1", env_extra=env)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert "2,1|1" in data["product"] and "3,2,2|1,1" in data["skew"]
+
+
+def test_cache_file_with_bad_table_is_rewritten_clean(tmp_path):
+    env = {"STABLECHAR_CACHE_DIR": str(tmp_path)}
+    path = tmp_path / "stablechar-cache.json"
+    run_cli("expand", "--skew", "3,2,2/1,1", env_extra=env)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["product"] = {"1|1": {"7,7": 5}}  # sizes do not add up
+    path.write_text(json.dumps(data), encoding="utf-8")
+    # The command adds no entry; the dropped table alone forces the rewrite.
+    proc = run_cli("expand", "--skew", "3,2,2/1,1", env_extra=env)
+    assert "ignoring table 'product'" in proc.stderr
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert data["product"] == {}
+    assert "3,2,2|1,1" in data["skew"]
+    proc = run_cli("expand", "--skew", "3,2,2/1,1", env_extra=env)
+    assert proc.stderr == ""
 
 
 def test_unknown_command_exits_two():

@@ -58,6 +58,17 @@ def test_schur_multiply_matches_determinant_oracle():
 
 def test_schur_multiply_oracle_spot_checks_size_five():
     pairs = [((3, 2), (2, 2, 1)), ((4, 1), (3, 2)), ((2, 2, 1), (2, 2, 1))]
+    # Contents of three and four rows, where merged strip states and the
+    # row-capacity bound first matter.
+    pairs += [
+        ((3, 2, 1), (2, 2, 1, 1)),
+        ((4, 2), (2, 2, 1)),
+        ((3, 1, 1), (2, 1, 1)),
+        ((3, 2, 1), (1, 1, 1)),
+        ((2, 2, 1), (2, 1, 1, 1)),
+        ((2, 1, 1, 1), (2, 1, 1, 1)),
+        ((3, 3), (2, 1, 1, 1)),
+    ]
     for mp, np_ in pairs:
         mu, nu = Partition(mp), Partition(np_)
         got = schur_multiply(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import leibniz_det
 
 from stablechar.embeddings import kappa_coefficient
 from stablechar.partitions import (
@@ -14,6 +15,7 @@ from stablechar.partitions import (
 )
 from stablechar.schur import FormalSum, omega, schur_multiply
 from stablechar.series import (
+    _det,
     KappaExpansion,
     PositivityVerdict,
     Series,
@@ -54,6 +56,34 @@ def test_series_text_errors():
         Series.from_text("1,abc")
     with pytest.raises(ValueError):
         Series.from_text("1,1/0")
+
+
+def test_det_matches_leibniz_oracle():
+    rng = random.Random(2024)
+
+    def entry():
+        if rng.random() < 0.25:
+            return 0
+        if rng.random() < 0.3:
+            return rng.randint(-9, 9)
+        return random_rational(rng, 12)
+
+    cases = [[]]
+    for n in range(1, 7):
+        for _ in range(12):
+            cases.append([[entry() for _ in range(n)] for _ in range(n)])
+        pivot_zero = [[entry() for _ in range(n)] for _ in range(n)]
+        pivot_zero[0][0] = 0
+        pivot_zero[-1][0] = Fraction(3, 7)  # a row swap is needed
+        cases.append(pivot_zero)
+    singular = [[entry() for _ in range(6)] for _ in range(6)]
+    singular[-1] = [2 * x for x in singular[0]]
+    cases.append(singular)
+    cases.append([[0, 1, 2], [0, 3, Fraction(1, 2)], [Fraction(5, 3), 1, 1]])
+    for rows in cases:
+        assert _det(rows) == leibniz_det(rows), rows
+    assert _det([]) == 1
+    assert _det(singular) == 0
 
 
 def test_product_expansion_elementary_series():
