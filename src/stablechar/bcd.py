@@ -20,6 +20,12 @@ The memo tables live in :mod:`cache`: ``nl`` holds full basis products and
 can be persisted; ``nl_truncated`` holds products cut below a floor and is
 never written to disk.  A cached full product also answers truncated
 requests.
+
+The constants are invariant under conjugating all three shapes,
+N^lam_{mu,nu} = N^{lam'}_{mu',nu'}, and conjugation keeps |alpha|.  So on a
+miss the product of the conjugate pair (mu', nu'), full or truncated at the
+same |alpha|, is looked up too; its terms, conjugated, are stored under the
+requested key.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from .schur import (
     FormalSum,
     _Accumulator,
     _bilinear,
+    _conjugate,
     _schur_basis_product,
+    _transposed,
     lr_coefficient,
     skew_expand,
 )
@@ -45,7 +53,12 @@ _nl_truncated_cache: dict[tuple, dict[Partition, int]] = cache.table("nl_truncat
 
 
 def _meet(mu: Partition, nu: Partition) -> Partition:
-    return Partition(min(a, b) for a, b in zip(mu.parts, nu.parts))
+    return Partition._trusted(tuple(map(min, mu.parts, nu.parts)))
+
+
+def _nl_order(mu: Partition, nu: Partition) -> tuple[Partition, Partition]:
+    """The factors of sp_mu * sp_nu in memo-key order."""
+    return (nu, mu) if mu.parts > nu.parts else (mu, nu)
 
 
 def _nl_basis_product(
@@ -57,8 +70,7 @@ def _nl_basis_product(
     floor bounds |alpha|.  The (beta, gamma) pairs of every alpha are merged
     into one order-free dict before any s_beta * s_gamma is looked up.
     """
-    if mu.parts > nu.parts:
-        mu, nu = nu, mu
+    mu, nu = _nl_order(mu, nu)
     key = (mu.parts, nu.parts)
     cached = _nl_cache.get(key)
     if cached is None and min_degree is not None:
@@ -71,6 +83,16 @@ def _nl_basis_product(
         top, memo = meet.size, _nl_cache
     else:
         key, memo = key + (top,), _nl_truncated_cache
+    # Conjugating mu, nu and alpha keeps |alpha|: the conjugate pair's full
+    # product, or its product truncated at the same |alpha|, has the terms.
+    mu_t, nu_t = _nl_order(_conjugate(mu.parts), _conjugate(nu.parts))
+    key_t = (mu_t.parts, nu_t.parts)
+    conjugate = _nl_cache.get(key_t)
+    if conjugate is None and memo is _nl_truncated_cache:
+        conjugate = memo.get(key_t + (top,))
+    if conjugate is not None:
+        out = memo[key] = _transposed(conjugate, mu.size + nu.size - 2 * top)
+        return out
     pairs: dict[tuple, int] = {}
     shapes: dict[tuple, Partition] = {}
     for alpha in subpartitions(meet):

@@ -12,7 +12,11 @@ treats the file as untrusted: it checks every entry and drops a bad table
 whole.  ``save`` leaves the file alone when it already holds every entry,
 that is when no persisted table grew since a clean ``load`` of it.  Only
 full products persist; the ``nl_truncated`` table of products cut below a
-degree floor stays in memory.
+degree floor stays in memory, and so does the ``conjugate`` table (parts of
+a shape to its conjugate ``Partition``) that the kernels use to answer a
+miss from the entry of the conjugate shapes.  Such a derived entry is
+stored under the key that was asked for, so the file holds the same keys
+as it would without it.
 """
 
 from __future__ import annotations

@@ -4,6 +4,11 @@ Partitions index every basis handled by this package.  They are immutable,
 hashable, stored free of trailing zeros, and cheap enough to use as dict keys
 throughout.  The canonical ordering used for all deterministic output is
 size ascending, then descending lexicographic within a size.
+
+``Partition.transpose`` counts the rows longer than each column index in
+one pass over the parts.  The tableau kernels take their conjugates from
+the memo table ``conjugate`` (see :mod:`schur`) instead, which lives only
+in memory.
 """
 
 from __future__ import annotations
@@ -70,13 +75,14 @@ class Partition:
 
     def transpose(self) -> "Partition":
         """Conjugate diagram: the i-th part becomes #{j : parts[j] > i}."""
-        if not self.parts:
-            return self
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for c in range(p):
-                cols[c] += 1
-        return Partition(cols)
+        parts = self.parts
+        cols = []
+        rows = len(parts)
+        for c in range(parts[0] if parts else 0):
+            while parts[rows - 1] <= c:  # rows = #{j : parts[j] > c}
+                rows -= 1
+            cols.append(rows)
+        return Partition._trusted(tuple(cols))
 
     def contains(self, other: "Partition") -> bool:
         """Row-by-row diagram containment (other fits inside self)."""
@@ -187,8 +193,9 @@ def subpartitions(lam: Partition) -> list[Partition]:
 
 
 def all_even_columns(lam: Partition) -> bool:
-    """True iff every column height is even (lam = (2mu)' for some mu)."""
-    return all(p % 2 == 0 for p in lam.transpose().parts)
+    """True iff every column height is even (lam = (2mu)' for some mu),
+    that is iff the rows come in equal pairs (an odd count never does)."""
+    return lam.parts[0::2] == lam.parts[1::2]
 
 
 def all_even_rows(lam: Partition) -> bool:

@@ -19,6 +19,15 @@ that scales both operands to integer coefficients, adds ints, and divides
 once per output term; the minors of ``dual_jacobi_trudi`` are summed the
 same way.
 
+Littlewood-Richardson coefficients are invariant under conjugating all
+three shapes, c^lam_{mu,nu} = c^{lam'}_{mu',nu'}.  So a memo miss first
+looks up the conjugate key (lam'/mu', or mu' * nu' under the same ordering
+rule as mu * nu); when that entry is there its terms are transposed and
+stored under the requested key.  A product neither entry answers is built
+by ``_strip_product`` in the orientation whose content (the factor with
+fewer rows) is shorter: on mu' * nu' when min(mu_1, nu_1) is less than
+min(len(mu), len(nu)), transposing the result.
+
 ``dual_jacobi_trudi`` is the ring-generic determinant evaluator used to
 rebuild images of arbitrary shapes from images of single columns.  Its
 minors are memoized on the surviving column set, and it can truncate every
@@ -26,7 +35,9 @@ minor below a degree floor (each minor is homogeneous in the generator
 grading, so the floor is well defined).
 
 The memo tables of skew expansions and basis products (``skew`` and
-``product``) live in :mod:`cache`, which can persist them.
+``product``) live in :mod:`cache`, which can persist them; a derived entry
+is stored under its own key like any other.  The ``conjugate`` table maps
+the parts of a shape to its conjugate ``Partition`` and is never persisted.
 """
 
 from __future__ import annotations
@@ -245,6 +256,20 @@ class FormalSum:
 
 _skew_cache: dict[tuple, dict[Partition, int]] = cache.table("skew")
 _product_cache: dict[tuple, dict[Partition, int]] = cache.table("product")
+_conjugate_cache: dict[tuple, Partition] = cache.table("conjugate")
+
+
+def _conjugate(parts: tuple) -> Partition:
+    """The conjugate of the partition with these parts."""
+    got = _conjugate_cache.get(parts)
+    if got is None:
+        got = _conjugate_cache[parts] = Partition._trusted(parts).transpose()
+    return got
+
+
+def _transposed(terms: dict[Partition, int], least: int = 0) -> dict[Partition, int]:
+    """A memo entry's terms of degree >= ``least``, every shape conjugated."""
+    return {_conjugate(lam.parts): c for lam, c in terms.items() if lam.size >= least}
 
 
 def _lattice_fillings(lam: Partition, mu: Partition) -> dict[tuple, int]:
@@ -309,8 +334,14 @@ def skew_expand(lam: Partition, mu: Partition) -> FormalSum:
     key = (lam.parts, mu.parts)
     cached = _skew_cache.get(key)
     if cached is None:
-        raw = _lattice_fillings(lam, mu)
-        cached = {Partition._trusted(t): c for t, c in raw.items()}
+        conjugate = _skew_cache.get(
+            (_conjugate(lam.parts).parts, _conjugate(mu.parts).parts)
+        )
+        if conjugate is not None:
+            cached = _transposed(conjugate)
+        else:
+            raw = _lattice_fillings(lam, mu)
+            cached = {Partition._trusted(t): c for t, c in raw.items()}
         _skew_cache[key] = cached
     return FormalSum._raw("schur", dict(cached))
 
@@ -375,16 +406,30 @@ def _strip_product(base_parts: tuple, content_parts: tuple) -> dict[tuple, int]:
     return states
 
 
+def _product_order(mu: Partition, nu: Partition) -> tuple[Partition, Partition]:
+    """(base, content) of s_mu * s_nu: the strip recursion branches over
+    rows of the content, so the content is the factor with fewer rows.  The
+    parts break ties, so that both orders of a pair give one memo key."""
+    if (len(nu), nu.size, nu.parts) > (len(mu), mu.size, mu.parts):
+        return nu, mu
+    return mu, nu
+
+
 def _schur_basis_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    # The strip recursion branches over rows of the content; keep the
-    # content short.
-    if (len(nu), nu.size) > (len(mu), mu.size):
-        mu, nu = nu, mu
+    mu, nu = _product_order(mu, nu)
     key = (mu.parts, nu.parts)
     cached = _product_cache.get(key)
     if cached is None:
-        raw = _strip_product(mu.parts, nu.parts)
-        cached = {Partition._trusted(t): c for t, c in raw.items()}
+        mu_t, nu_t = _product_order(_conjugate(mu.parts), _conjugate(nu.parts))
+        conjugate = _product_cache.get((mu_t.parts, nu_t.parts))
+        if conjugate is not None:
+            cached = _transposed(conjugate)
+        elif len(nu_t) < len(nu):  # the conjugate pair has the shorter content
+            raw = _strip_product(mu_t.parts, nu_t.parts)
+            cached = {_conjugate(t): c for t, c in raw.items()}
+        else:
+            raw = _strip_product(mu.parts, nu.parts)
+            cached = {Partition._trusted(t): c for t, c in raw.items()}
         _product_cache[key] = cached
     return cached
 

@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stablechar import cache
+from stablechar import bcd, cache
 from stablechar.bcd import bcd_multiply, newell_littlewood
-from stablechar.partitions import EMPTY, Partition, partitions_through
-from stablechar.schur import BasisMismatchError, FormalSum, schur_multiply
+from stablechar.partitions import EMPTY, Partition, partitions_of, partitions_through
+from stablechar.schur import BasisMismatchError, FormalSum, omega, schur_multiply
 
 
 def sp(*parts):
@@ -145,3 +146,61 @@ def test_truncated_rational_products_match_full_products():
         mu, nu = Partition(mp), Partition(np_)
         again = bcd_multiply(FormalSum.single("sp", mu), FormalSum.single("sp", nu))
         assert again.terms == value, (mu, nu)
+
+
+def _newell_littlewood_product(a, b, min_degree):
+    """The bilinear extension of ``newell_littlewood``, one constant at a time."""
+    out = {}
+    for mu, cm in a.terms.items():
+        for nu, cn in b.terms.items():
+            for k in range(min(mu.size, nu.size) + 1):
+                degree = mu.size + nu.size - 2 * k
+                if degree < min_degree:
+                    break
+                for lam in partitions_of(degree):
+                    out[lam] = out.get(lam, 0) + cm * cn * newell_littlewood(lam, mu, nu)
+    return FormalSum("sp", out)
+
+
+def test_products_derived_from_conjugate_entries(monkeypatch):
+    builds = []
+    subpartitions = bcd.subpartitions
+
+    def recorded(lam):
+        builds.append(lam)
+        return subpartitions(lam)
+
+    monkeypatch.setattr(bcd, "subpartitions", recorded)
+    rng = random.Random(2727)
+    pool = list(partitions_through(4))
+    for _ in range(8):
+        a, b = _random_sp_sum(rng, pool), _random_sp_sum(rng, pool)
+        top = max(mu.size for mu in a.terms) + max(nu.size for nu in b.terms)
+        for floor in (None, top - 2, top - 4):
+            cache.clear_all()
+            fresh = bcd_multiply(a, b, floor)
+            cache.clear_all()
+            bcd_multiply(omega(a), omega(b), floor)
+            builds.clear()
+            derived = bcd_multiply(a, b, floor)
+            assert not builds, floor
+            assert derived == fresh, floor
+            cache.clear_all()
+            expected = _newell_littlewood_product(a, b, floor or 0)
+            assert fresh == expected.restricted(min_degree=floor), floor
+
+
+small_partitions = st.lists(st.integers(1, 3), max_size=3).map(
+    lambda parts: Partition(sorted(parts, reverse=True))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_partitions, small_partitions, st.data())
+def test_newell_littlewood_conjugation_symmetry(mu, nu, data):
+    k = data.draw(st.integers(0, min(mu.size, nu.size)), label="k")
+    lam = data.draw(st.sampled_from(partitions_of(mu.size + nu.size - 2 * k)), label="lam")
+    cache.clear_all()
+    direct = newell_littlewood(lam, mu, nu)
+    cache.clear_all()
+    assert newell_littlewood(lam.transpose(), mu.transpose(), nu.transpose()) == direct

@@ -107,6 +107,9 @@ def test_even_columns_rows():
     assert not all_even_columns(Partition((3, 1))) and not all_even_rows(
         Partition((3, 1))
     )
+    assert not all_even_columns(Partition((2, 2, 1)))
+    assert all_even_columns(Partition((3, 3, 1, 1)))
+    assert not all_even_columns(Partition((1,)))
     for lam in partitions_through(10):
         assert all_even_columns(lam) == all_even_rows(lam.transpose())
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import jt_product
+from stablechar import cache, schur
 from stablechar.partitions import EMPTY, Partition, partitions_of, partitions_through, subpartitions
 from stablechar.schur import (
     BasisMismatchError,
@@ -56,25 +57,66 @@ def test_schur_multiply_matches_determinant_oracle():
             assert {lam.parts: c for lam, c in got.terms.items()} == expected, (mu, nu)
 
 
+SPOT_CHECK_PAIRS = [((3, 2), (2, 2, 1)), ((4, 1), (3, 2)), ((2, 2, 1), (2, 2, 1))]
+# Contents of three and four rows, where merged strip states and the
+# row-capacity bound first matter.
+SPOT_CHECK_PAIRS += [
+    ((3, 2, 1), (2, 2, 1, 1)),
+    ((4, 2), (2, 2, 1)),
+    ((3, 1, 1), (2, 1, 1)),
+    ((3, 2, 1), (1, 1, 1)),
+    ((2, 2, 1), (2, 1, 1, 1)),
+    ((2, 1, 1, 1), (2, 1, 1, 1)),
+    ((3, 3), (2, 1, 1, 1)),
+]
+
+
+def _product(mu, nu):
+    got = schur_multiply(FormalSum.single("schur", mu), FormalSum.single("schur", nu))
+    return {lam.parts: c for lam, c in got.terms.items()}
+
+
 def test_schur_multiply_oracle_spot_checks_size_five():
-    pairs = [((3, 2), (2, 2, 1)), ((4, 1), (3, 2)), ((2, 2, 1), (2, 2, 1))]
-    # Contents of three and four rows, where merged strip states and the
-    # row-capacity bound first matter.
-    pairs += [
-        ((3, 2, 1), (2, 2, 1, 1)),
-        ((4, 2), (2, 2, 1)),
-        ((3, 1, 1), (2, 1, 1)),
-        ((3, 2, 1), (1, 1, 1)),
-        ((2, 2, 1), (2, 1, 1, 1)),
-        ((2, 1, 1, 1), (2, 1, 1, 1)),
-        ((3, 3), (2, 1, 1, 1)),
-    ]
-    for mp, np_ in pairs:
+    for mp, np_ in SPOT_CHECK_PAIRS:
         mu, nu = Partition(mp), Partition(np_)
-        got = schur_multiply(
-            FormalSum.single("schur", mu), FormalSum.single("schur", nu)
-        )
-        assert {lam.parts: c for lam, c in got.terms.items()} == jt_product(mu, nu)
+        assert _product(mu, nu) == jt_product(mu, nu)
+
+
+def _record_calls(monkeypatch, name):
+    """Record the arguments of every call of ``schur.<name>``."""
+    calls = []
+    original = getattr(schur, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(schur, name, recorded)
+    return calls
+
+
+def test_products_derived_from_conjugate_entries(monkeypatch):
+    strips = _record_calls(monkeypatch, "_strip_product")
+    shapes = list(partitions_through(5))
+    pairs = [(mu, nu) for mu in shapes for nu in shapes]
+    pairs += [(Partition(mp), Partition(np_)) for mp, np_ in SPOT_CHECK_PAIRS]
+    conjugate_orientation = set()
+    for mu, nu in pairs:
+        cache.clear_all()
+        strips.clear()
+        fresh = _product(mu, nu)
+        if strips and set(strips[0]) != {mu.parts, nu.parts}:
+            conjugate_orientation.add((mu.parts, nu.parts))
+        cache.clear_all()
+        _product(mu.transpose(), nu.transpose())
+        strips.clear()
+        derived = _product(mu, nu)
+        assert not strips, (mu, nu)
+        # The oracle expands a determinant over the rows of its second shape.
+        short, long_ = sorted((mu, nu), key=len)
+        assert derived == fresh == jt_product(long_, short), (mu, nu)
+    assert ((1, 1, 1), (1, 1, 1, 1)) in conjugate_orientation
+    assert ((2, 1, 1, 1), (1, 1, 1)) in conjugate_orientation
 
 
 def test_skew_expand_examples():
@@ -97,11 +139,41 @@ def test_skew_product_adjointness_exhaustive():
                 assert expansion.coefficient(nu) == prod.coefficient(lam)
 
 
+def test_skew_expansions_derived_from_conjugate_entries(monkeypatch):
+    fillings = _record_calls(monkeypatch, "_lattice_fillings")
+    oracle_products = {}
+
+    def oracle_coefficient(lam, mu, nu):
+        # c^lam_{mu,nu}; the oracle expands over the rows of its second shape.
+        short, long_ = sorted((mu, nu), key=len)
+        if (long_, short) not in oracle_products:
+            oracle_products[long_, short] = jt_product(long_, short)
+        return oracle_products[long_, short].get(lam.parts, 0)
+
+    for lam in partitions_through(8):
+        for mu in subpartitions(lam):
+            cache.clear_all()
+            fresh = skew_expand(lam, mu)
+            cache.clear_all()
+            skew_expand(lam.transpose(), mu.transpose())
+            fillings.clear()
+            derived = skew_expand(lam, mu)
+            assert not fillings, (lam, mu)
+            assert derived == fresh, (lam, mu)
+            expected = {}
+            for nu in partitions_of(lam.size - mu.size):
+                c = oracle_coefficient(lam, mu, nu)
+                if c:
+                    expected[nu] = c
+            assert fresh.terms == expected, (lam, mu)
+
+
 def test_lr_symmetry_and_conjugation():
     for lam in partitions_through(8):
         lam_t = lam.transpose()
         for mu in subpartitions(lam):
             left = skew_expand(lam, mu)
+            cache.clear_all()  # the conjugate side from its own fillings
             right = skew_expand(lam_t, mu.transpose())
             assert omega(left) == right
             for nu, c in left.terms.items():
@@ -127,7 +199,9 @@ def test_omega_examples_and_automorphism():
         a = FormalSum.single("schur", rng.choice(pool))
         b = FormalSum.single("schur", rng.choice(pool))
         assert omega(omega(a)) == a
-        assert omega(schur_multiply(a, b)) == schur_multiply(omega(a), omega(b))
+        product = schur_multiply(a, b)
+        cache.clear_all()  # the conjugate side from its own strip products
+        assert omega(product) == schur_multiply(omega(a), omega(b))
 
 
 def column_gen(n):
