@@ -3,7 +3,10 @@
 Every memo dict is created here by ``table(name)``; the modules bind theirs
 at import time and look entries up inline.  Entries are immutable and only
 ever inserted, so sharing the tables across threads is safe under the usual
-dict guarantees.
+dict guarantees.  The one exception is ``minors``, the determinant minors
+of :mod:`series`: it holds the memo of a single series and is emptied when
+another series arrives, so that its size stays that of one series.  A
+caller keeps the memo it fetched, which is still only ever inserted into.
 
 Pointing the ``STABLECHAR_CACHE_DIR`` environment variable at a directory
 makes the command line load the ``PERSISTED`` tables on startup and write
@@ -12,9 +15,9 @@ treats the file as untrusted: it checks every entry and drops a bad table
 whole.  ``save`` leaves the file alone when it already holds every entry,
 that is when no persisted table grew since a clean ``load`` of it.  Only
 full products persist; the ``nl_truncated`` table of products cut below a
-degree floor stays in memory, and so does the ``conjugate`` table (parts of
-a shape to its conjugate ``Partition``) that the kernels use to answer a
-miss from the entry of the conjugate shapes.  Such a derived entry is
+degree floor stays in memory, and so do the ``minors`` table and the
+``conjugate`` table (parts of a shape to its conjugate ``Partition``) that
+the kernels use to answer a miss from the entry of the conjugate shapes.  Such a derived entry is
 stored under the key that was asked for, so the file holds the same keys
 as it would without it.
 """

@@ -30,7 +30,6 @@ from .bcd import bcd_multiply
 from .partitions import (
     EMPTY,
     Partition,
-    all_even_columns,
     subpartitions,
 )
 from .schur import FormalSum, _normalize, dual_jacobi_trudi, skew_expand
@@ -94,7 +93,7 @@ class EmbeddingTable:
 
     def generator_image(self, k: int) -> FormalSum:
         """Image of the k-th elementary generator as an sp-basis sum."""
-        terms = {Partition([1] * j): self.entry(k, j) for j in range(k + 1)}
+        terms = {Partition._trusted((1,) * j): self.entry(k, j) for j in range(k + 1)}
         return FormalSum("sp", terms)
 
     def constant_below(self, d: int) -> bool:
@@ -207,25 +206,18 @@ def kappa_coefficient(p: Series, mu: Partition):
 
     Splitting the kernel into its two factors gives a sum of skew-shaped
     Jacobi-Trudi determinants det(a_{mu_i - rho_j - i + j}) over the
-    even-column subdiagrams rho of mu.
+    even-column subdiagrams rho of mu.  These are the shapes
+    (s_1, s_1, s_2, s_2, ...) for s contained in (mu_2, mu_4, ...).
     """
     key = (p, mu.parts)
     cached = _kappa_coeff_cache.get(key)
     if cached is not None:
         return cached
-    n = len(mu)
-    total = Fraction(0)
-    for rho in subpartitions(mu):
-        if not all_even_columns(rho):
-            continue
-        if n == 0:
-            total += 1
-            continue
-        rows = [
-            [p.coeff(mu.parts[i] - rho.part(j) - i + j) for j in range(n)]
-            for i in range(n)
-        ]
-        total += _det(rows)
+    parts = mu.parts
+    total = 0
+    for sigma in subpartitions(Partition._trusted(parts[1::2])):
+        rho = tuple(r for s in sigma.parts for r in (s, s))
+        total += _det(p, parts, rho)
     total = _normalize(total)
     _kappa_coeff_cache[key] = total
     return total

@@ -43,14 +43,14 @@ def _single_removals(lam: Partition, orientation: str) -> list[Partition]:
         for r in range(len(parts)):
             nxt = parts[r + 1] if r + 1 < len(parts) else 0
             if parts[r] - 2 >= nxt:
-                out.append(Partition(parts[:r] + (parts[r] - 2,) + parts[r + 1 :]))
+                out.append(parts[:r] + (parts[r] - 2,) + parts[r + 1 :])
     else:
         for r in range(len(parts) - 1):
             below = parts[r + 2] if r + 2 < len(parts) else 0
             if parts[r] == parts[r + 1] and parts[r + 1] - 1 >= below:
-                new = parts[:r] + (parts[r] - 1, parts[r + 1] - 1) + parts[r + 2 :]
-                out.append(Partition(new))
-    return out
+                out.append(parts[:r] + (parts[r] - 1, parts[r + 1] - 1) + parts[r + 2 :])
+    # Zero parts are left only at the end, by a domino taken from the last rows.
+    return [Partition._trusted(tuple(x for x in new if x)) for new in out]
 
 
 def domino_removals(lam: Partition, orientation: str) -> set[Partition]:

@@ -11,6 +11,16 @@ numerator expands in the Schur basis with coefficient of s_lam equal to the
 determinant det(a_{lam_i - i + j}); the denominator contributes the classical
 sum of s_lam over shapes with all column heights even.  ``kappa_expansion``
 multiplies the two factors degree by degree.
+
+Every kernel coefficient is a skew Jacobi-Trudi determinant
+D(u, v) = det(a_{u_i - v_j - i + j}), evaluated by ``_det``: Laplace
+expansion along the first column, whose minors are again such determinants
+for neighbouring shapes.  The coefficients are scaled to integers first
+(a_k times L^k, with L the lcm of the denominators), so every minor is an
+int and a result is divided once, by L^{|u| - |v|}.  The minors are
+memoized for one series at a time in the memo table ``minors`` of
+:mod:`cache`, which a different series replaces and which is never
+persisted.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from . import cache
 from .partitions import EMPTY, Partition, partitions_of
 from .schur import FormalSum, _integers, schur_multiply
 
@@ -206,49 +217,82 @@ class KappaExpansion:
         return None
 
 
-def _det(rows: list[list]) -> Fraction:
-    """Exact determinant: each row is scaled to integers by the lcm of its
-    denominators, Bareiss's fraction-free elimination (Math. Comp. 22, 1968)
-    runs on the integer matrix, and the result is divided once."""
-    n = len(rows)
-    scale = 1
-    m = []
-    for row in rows:
-        den, ints = _integers(row)
-        scale *= den
-        m.append(ints)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1] if n else 1, scale)
+# Scaled minors of one series at a time: {p: (L, scaled coefficients, memo)}
+# with a single entry, replaced when another series arrives (see _kernel).
+_minors: dict[Series, tuple[int, tuple, dict]] = cache.table("minors")
+
+
+def _kernel(p: Series) -> tuple[int, tuple, dict]:
+    """(L, (a_k L^k)_k, memo of scaled minors) for p, where L is the lcm of
+    the denominators of p; drops the memo of any other series."""
+    for q, state in _minors.items():
+        if q is p or q == p:
+            return state
+    _minors.clear()
+    den, nums = _integers(p.coeffs)
+    scaled = tuple(c * den ** (k - 1) if k else 1 for k, c in enumerate(nums))
+    state = _minors[p] = (den, scaled, {})
+    return state
+
+
+def _minor(u: tuple, v: tuple, scaled: tuple, memo: dict) -> int:
+    """L^{|u|-|v|} det(a_{u_i - v_j - i + j}) by Laplace expansion along the
+    first column.
+
+    Deleting row k and the first column leaves the matrix of the partition
+    u^(k) = (u_0+1, ..., u_{k-1}+1, u_{k+1}, ...) over v[1:].  The entry
+    index u_k - v_0 - k strictly decreases in k, so the loop stops at the
+    first negative one.
+    """
+    if not u:
+        return 1
+    key = (u, v)
+    d = memo.get(key)
+    if d is not None:
+        return d
+    v0 = v[0] if v else 0
+    rest = v[1:]
+    top = len(scaled)
+    d = 0
+    head = ()
+    for k, uk in enumerate(u):
+        i = uk - v0 - k
+        if i < 0:
+            break
+        c = scaled[i] if i < top else 0
+        if c:
+            m = _minor(head + u[k + 1 :], rest, scaled, memo)
+            d = d - c * m if k & 1 else d + c * m
+        head += (uk + 1,)
+    memo[key] = d
+    return d
+
+
+def _det(p: Series, u: tuple, v: tuple = ()):
+    """Skew Jacobi-Trudi determinant det(a_{u_i - v_j - i + j}) of p over the
+    parts u and v (v padded with zeros to the length of u).  Like s_{u/v}
+    (Macdonald I.(5.4)) it is 0 unless v is contained in u.
+
+    For a truncated series it raises ``TruncationError`` exactly when one
+    entry of the matrix lies past the truncation order.
+    """
+    n = len(u)
+    if len(v) > n:
+        return 0
+    if n == 0:
+        return 1
+    # The largest index in the matrix, at row 0 and column n - 1.
+    p.coeff(u[0] - (v[n - 1] if len(v) == n else 0) + n - 1)
+    den, scaled, memo = _kernel(p)
+    d = _minor(u, v, scaled, memo)
+    if den == 1:
+        return d
+    return _norm_coeff(Fraction(d, den ** (sum(u) - sum(v))))
 
 
 def product_coefficient(p: Series, lam: Partition):
     """Coefficient of s_lam in prod_i p(x_i): det(a_{lam_i - i + j})."""
-    n = len(lam)
-    if n == 0:
-        return 1
-    rows = [
-        [p.coeff(lam.parts[i] - i + j) for j in range(n)]
-        for i in range(n)
-    ]
-    return _norm_coeff(_det(rows))
+    return _det(p, lam.parts)
 
 
 def product_expansion(p: Series, cutoff: int) -> KappaExpansion:
@@ -271,7 +315,7 @@ def even_column_slice(degree: int) -> FormalSum:
     terms = {}
     if degree % 2 == 0:
         for mu in partitions_of(degree // 2):
-            terms[Partition(2 * p for p in mu).transpose()] = 1
+            terms[Partition._trusted(tuple(2 * p for p in mu.parts)).transpose()] = 1
     return FormalSum("schur", terms)
 
 

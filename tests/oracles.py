@@ -3,12 +3,14 @@
 None of these share code paths with the package: partition counts come from
 the pentagonal-number recurrence, Schur products from the h-determinant plus
 the Pieri rule, rectangle skews from the rotated-complement rule, and
-determinants from the Leibniz permutation expansion.
+determinants from the Leibniz permutation expansion and from Bareiss
+elimination (the engine expands its Jacobi-Trudi determinants by minors).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -107,6 +109,38 @@ def leibniz_det(rows: list[list]) -> Fraction:
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def bareiss_det(rows: list[list]) -> Fraction:
+    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22,
+    1968) on the rows scaled to integers, divided once at the end."""
+    n = len(rows)
+    scale = 1
+    m = []
+    for row in rows:
+        den = math.lcm(*(Fraction(x).denominator for x in row)) if row else 1
+        scale *= den
+        m.append([int(x * den) for x in row])
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1] if n else 1, scale)
 
 
 def _perm_sign(perm: tuple) -> int:

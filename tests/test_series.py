@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import leibniz_det
+from oracles import bareiss_det, leibniz_det
 
+from stablechar import cache
 from stablechar.embeddings import kappa_coefficient
 from stablechar.partitions import (
+    EMPTY,
     Partition,
     all_even_columns,
     all_even_rows,
@@ -81,9 +83,77 @@ def test_det_matches_leibniz_oracle():
     cases.append(singular)
     cases.append([[0, 1, 2], [0, 3, Fraction(1, 2)], [Fraction(5, 3), 1, 1]])
     for rows in cases:
-        assert _det(rows) == leibniz_det(rows), rows
-    assert _det([]) == 1
-    assert _det(singular) == 0
+        assert bareiss_det(rows) == leibniz_det(rows), rows
+    assert bareiss_det([]) == 1
+    assert bareiss_det(singular) == 0
+
+
+def _jacobi_trudi_rows(p, u, v):
+    n = len(u)
+    v = v + (0,) * (n - len(v))
+    return [[p.coeff(u[i] - v[j] - i + j) for j in range(n)] for i in range(n)]
+
+
+def _random_skew_pair(rng, n, width):
+    u = tuple(sorted((rng.randint(1, width) for _ in range(n)), reverse=True))
+    v = []
+    for part in u:
+        v.append(min(v[-1] if v else part, rng.randint(0, part)))
+    while v and not v[-1]:
+        v.pop()
+    return u, tuple(v)
+
+
+def test_kernel_det_matches_determinant_oracles():
+    rng = random.Random(41)
+    width = 5
+    order = width + 10  # the largest matrix index for 11 rows
+    series = [
+        Series((1, 3, -2, 5, 1, -4)),
+        Series([1] + [random_rational(rng, 9) for _ in range(6)]),
+        Series((1, 0, Fraction(2, 3), 0, 0, -1, 0, Fraction(-7, 4))),
+        Series.geom(order),
+        Series.geom2(order),
+    ]
+    pairs = [((), ()), ((3, 1), (2, 2)), ((2, 2, 1), (3,)), ((4, 1, 1), (2, 2, 2))]
+    pairs += [_random_skew_pair(rng, n, width) for n in range(1, 12) for _ in range(4)]
+    expected = {}
+    for p in series:
+        for u, v in pairs:
+            rows = _jacobi_trudi_rows(p, u, v)
+            oracle = leibniz_det(rows) if len(u) <= 6 else bareiss_det(rows)
+            cache.clear_all()
+            assert _det(p, u, v) == oracle, (p, u, v)
+            expected[p, u, v] = oracle
+    # Neither a memo warmed by other shapes of the same series nor one left
+    # behind by another series changes a value.
+    for p in series:
+        for u, v in pairs:
+            assert _det(p, u, v) == expected[p, u, v]
+    for u, v in pairs:
+        for p in series:
+            assert _det(p, u, v) == expected[p, u, v]
+
+
+def test_kernel_det_edge_cases():
+    p = Series.geom(3)
+    with pytest.raises(TruncationError):
+        kappa_coefficient(p, Partition((3, 2)))
+    assert kappa_coefficient(p, Partition((2, 2))) == 1
+    with pytest.raises(TruncationError):
+        product_expansion(p, 4)
+    assert product_expansion(p, 3).coefficient(Partition((1, 1, 1))) == 0
+    # v lowers the largest index of the matrix, u_0 - v_{n-1} + n - 1.
+    with pytest.raises(TruncationError):
+        _det(p, (3, 2), (1,))
+    assert _det(p, (3, 2), (1, 1)) == 0
+    quad = Series((1, Fraction(1, 2), 3))
+    for q in (p, quad):
+        assert _det(q, (2, 1), (3,)) == 0
+        assert _det(q, (2,), (1, 1)) == 0
+        assert _det(q, (), (1,)) == 0
+        assert _det(q, ()) == 1
+        assert kappa_coefficient(q, EMPTY) == 1
 
 
 def test_product_expansion_elementary_series():
@@ -168,9 +238,10 @@ def test_kappa_coefficient_cross_route():
     # graded product route, coefficient by coefficient.
     rng = random.Random(23)
     quad = Series((1, random_rational(rng), random_rational(rng)))
-    for p in [Series.one(), Series.geom2(6), quad]:
-        kappa = kappa_expansion(p if p.polynomial else p, 6)
-        for lam in partitions_through(6):
+    cubic = Series((1, random_rational(rng), random_rational(rng), random_rational(rng)))
+    for p in [Series.one(), Series.geom2(9), quad, Series.geom(9), cubic]:
+        kappa = kappa_expansion(p, 9)
+        for lam in partitions_through(9):
             assert kappa_coefficient(p, lam) == kappa.coefficient(lam)
 
 
