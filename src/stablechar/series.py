@@ -218,11 +218,11 @@ class KappaExpansion:
 
 
 # Scaled minors of one series at a time: {p: (L, scaled coefficients, memo)}
-# with a single entry, replaced when another series arrives (see _kernel).
+# with a single entry, replaced when another series arrives.
 _minors: dict[Series, tuple[int, tuple, dict]] = cache.table("minors")
 
 
-def _kernel(p: Series) -> tuple[int, tuple, dict]:
+def _minor_state(p: Series) -> tuple[int, tuple, dict]:
     """(L, (a_k L^k)_k, memo of scaled minors) for p, where L is the lcm of
     the denominators of p; drops the memo of any other series."""
     for q, state in _minors.items():
@@ -283,7 +283,7 @@ def _det(p: Series, u: tuple, v: tuple = ()):
         return 1
     # The largest index in the matrix, at row 0 and column n - 1.
     p.coeff(u[0] - (v[n - 1] if len(v) == n else 0) + n - 1)
-    den, scaled, memo = _kernel(p)
+    den, scaled, memo = _minor_state(p)
     d = _minor(u, v, scaled, memo)
     if den == 1:
         return d
