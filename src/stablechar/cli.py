@@ -6,6 +6,9 @@ expansions and positivity verdicts), ``embed`` (decompositions), ``verify``
 scan, single point or CSV grid).  Exit codes: 0 success / all checks pass,
 1 a verification or positivity check failed, 2 usage or parse error.
 
+``verify`` prints each case of :mod:`stablechar.checks` as soon as it is
+decided, then a summary line; a run whose bounds select no case exits 2.
+
 Rationals print as ``p/q`` (or a bare integer); output ordering is fixed, so
 byte-identical inputs and seeds give byte-identical output.
 """
@@ -20,26 +23,10 @@ import random
 import sys
 from fractions import Fraction
 
-from . import cache
-from .bcd import bcd_multiply
-from .embeddings import (
-    EmbeddingTable,
-    image_by_skewing,
-    image_from_table,
-    parity_coefficient,
-    random_table,
-    table_from_series,
-    verify_constant_identity,
-    verify_linear_identity,
-)
-from .kr import (
-    format_weight_decomposition,
-    kr_decomposition,
-    quadratic_identity_check,
-    rectangle_check,
-    weights_json,
-)
-from .partitions import Partition, partitions_through
+from . import cache, checks
+from .embeddings import EmbeddingTable, image_by_skewing, image_from_table, random_table
+from .kr import format_weight_decomposition, kr_decomposition, weights_json
+from .partitions import Partition
 from .schur import FormalSum, schur_multiply, skew_expand
 from .series import (
     Series,
@@ -50,10 +37,6 @@ from .series import (
     quadratic_boundary,
     quadratic_scan,
 )
-
-
-def _parse_partition(text: str) -> Partition:
-    return Partition.from_text(text)
 
 
 def _parse_series(text: str, order: int) -> Series:
@@ -67,11 +50,21 @@ def _parse_series(text: str, order: int) -> Series:
     return Series.from_text(text)
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_pair(text: str) -> tuple[Partition, Partition]:
     if "/" not in text:
         raise ValueError(f"expected LAMBDA/MU, got {text!r}")
     left, right = text.split("/", 1)
-    return _parse_partition(left), _parse_partition(right)
+    return Partition.from_text(left), Partition.from_text(right)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +121,7 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    lam = _parse_partition(args.lam)
+    lam = Partition.from_text(args.lam)
     sources = [s for s in (args.series, args.table, args.family) if s is not None]
     if len(sources) != 1:
         raise ValueError("embed needs exactly one of --series, --table, --family")
@@ -157,111 +150,44 @@ def _cmd_embed(args) -> int:
     return 0
 
 
-def _series_set(args, order: int) -> list[tuple[str, Series]]:
-    names = args.series if args.series else ["one", "geom2", "geom", "1,1"]
-    return [(name, _parse_series(name, order)) for name in names]
+def _series_set(args, order: int, default=("one", "geom2", "geom", "1,1")):
+    return [(name, _parse_series(name, order)) for name in args.series or default]
 
 
-def _verify_report(lines: list[tuple[str, bool]], seed=None) -> int:
-    failures = 0
-    for text, ok in lines:
-        print(f"{text}: {'PASS' if ok else 'FAIL'}")
-        failures += 0 if ok else 1
-    total = len(lines)
-    suffix = f" (seed {seed})" if seed is not None else ""
-    print(f"verify: {total - failures}/{total} checks passed{suffix}")
-    return 0 if failures == 0 else 1
+def _verify_cases(args):
+    """The generator of ``(label, passed)`` cases that the arguments select."""
+    if args.prop == "kr":
+        return checks.kr(args.max)
+    if args.prop == "eqquad":
+        return checks.eqquad(args.max)
+    if args.prop == "parity":
+        return checks.parity(_series_set(args, 2 * args.k + 2, ["1,0,2"]), args.k)
+    if args.prop == "oracle":
+        return checks.oracle(_series_set(args, args.max_size + 2), args.max_size)
+    if args.prop == "ringhom":
+        return checks.ringhom(_series_set(args, 2 * args.max_size), args.max_size)
+    # Tables are drawn as they are reached, in (d, trial) order, as the seed fixes.
+    ds, rng = args.d or [1, 2, 3], random.Random(args.seed)
+    cutoff = args.k + max(ds) + 1
+    tables = ((d, t, random_table(cutoff, d, rng)) for d in ds for t in range(args.trials))
+    return checks.identities(args.prop, tables, args.k)
 
 
 def _cmd_verify(args) -> int:
-    lines: list[tuple[str, bool]] = []
-    rng = random.Random(args.seed)
-    if args.prop == "kr":
-        for family in ("C", "BD"):
-            for height in range(1, args.max + 1):
-                for width in range(1, args.max + 1):
-                    report = rectangle_check(height, width, family)
-                    lines.append(
-                        (f"kr family={family} rect={height}x{width}", report.matches)
-                    )
-        return _verify_report(lines)
-    if args.prop == "eqquad":
-        for family in ("C", "BD"):
-            for height in range(1, args.max + 1):
-                for width in range(1, args.max + 1):
-                    report = quadratic_identity_check(height, width, family)
-                    lines.append(
-                        (f"eqquad family={family} rect={height}x{width}", report.holds)
-                    )
-        return _verify_report(lines)
-    if args.prop == "parity":
-        if args.series:
-            series_list = [(name, _parse_series(name, 2 * args.k + 2)) for name in args.series]
-        else:
-            series_list = [("1,0,2", Series.from_text("1,0,2"))]
-        for name, p in series_list:
-            for k in range(args.k + 1):
-                report = parity_coefficient(p, k)
-                lines.append(
-                    (
-                        f"parity p={name} k={k}: {report.computed} = {report.expected}",
-                        report.equal,
-                    )
-                )
-        return _verify_report(lines)
-    if args.prop == "oracle":
-        largest = args.max_size
-        for name, p in _series_set(args, largest + 2):
-            table = table_from_series(p, largest + 2)
-            ok = True
-            for lam in partitions_through(largest):
-                skew_route = image_by_skewing(p, lam)
-                table_route = image_from_table(table, lam)
-                if skew_route.terms != table_route.terms:
-                    ok = False
-                    break
-            lines.append((f"oracle p={name} max-size={largest}", ok))
-        return _verify_report(lines)
-    if args.prop == "ringhom":
-        bound = args.max_size
-        shapes = list(partitions_through(bound))
-        for name, p in _series_set(args, 2 * bound):
-            images = {lam: image_by_skewing(p, lam).as_sum() for lam in shapes}
-            ok = True
-            for mu in shapes:
-                for nu in shapes:
-                    lhs = FormalSum.zero("sp")
-                    product = schur_multiply(
-                        FormalSum.single("schur", mu), FormalSum.single("schur", nu)
-                    )
-                    for lam, c in product.terms.items():
-                        lhs = lhs + image_by_skewing(p, lam).as_sum().scaled(c)
-                    rhs = bcd_multiply(images[mu], images[nu])
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            lines.append((f"ringhom p={name} max-size={bound}", ok))
-        return _verify_report(lines)
-    if args.prop in ("linear", "constant"):
-        ds = args.d if args.d else [1, 2, 3]
-        for d in ds:
-            for trial in range(args.trials):
-                table = random_table(args.k + max(ds) + 1, d, rng)
-                for k in range(d + 2, args.k + 1):
-                    if args.prop == "linear":
-                        report = verify_linear_identity(table, d, k)
-                        lines.append(
-                            (f"linear d={d} k={k} trial={trial}", report.equal)
-                        )
-                    else:
-                        report = verify_constant_identity(table, d, k)
-                        lines.append(
-                            (f"constant d={d} k={k} trial={trial}", report.equal)
-                        )
-        return _verify_report(lines, seed=args.seed)
-    raise ValueError(f"unknown prop {args.prop!r}")
+    total = passed = 0
+    for label, ok in _verify_cases(args):
+        print(f"{label}: {'PASS' if ok else 'FAIL'}", flush=True)
+        total += 1
+        passed += ok
+    if not total:  # only kr, eqquad, linear and constant can select no case
+        if args.prop in ("kr", "eqquad"):
+            raise ValueError(f"no case to check within --max {args.max}")
+        raise ValueError(
+            f"no case to check within --trials {args.trials} and --k {args.k} (k starts at d + 2)"
+        )
+    suffix = f" (seed {args.seed})" if args.prop in ("linear", "constant") else ""
+    print(f"verify: {passed}/{total} checks passed{suffix}")
+    return 0 if passed == total else 1
 
 
 _CSV_COLUMNS = [
@@ -424,14 +350,14 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["linear", "constant", "parity", "oracle", "ringhom", "eqquad", "kr"],
     )
-    p_verify.add_argument("--max", type=int, default=4, help="rectangle bound (kr/eqquad)")
+    p_verify.add_argument("--max", type=_count, default=4, help="rectangle bound (kr/eqquad)")
     p_verify.add_argument(
-        "--max-size", type=int, default=8, help="largest shape size (oracle/ringhom)"
+        "--max-size", type=_count, default=8, help="largest shape size (oracle/ringhom)"
     )
     p_verify.add_argument("--d", type=int, action="append", help="diagonal(s) for linear/constant")
-    p_verify.add_argument("--k", type=int, default=9, help="largest k (linear/constant/parity)")
+    p_verify.add_argument("--k", type=_count, default=9, help="largest k (linear/constant/parity)")
     p_verify.add_argument("--series", action="append", help="series under test (repeatable)")
-    p_verify.add_argument("--trials", type=int, default=5)
+    p_verify.add_argument("--trials", type=_count, default=5)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 

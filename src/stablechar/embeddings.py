@@ -115,14 +115,38 @@ class EmbeddingTable:
         return {"schema": 1, "cutoff": self.cutoff, "m": entries}
 
     @classmethod
-    def from_json(cls, data: dict) -> "EmbeddingTable":
-        entries = {(i, j): Fraction(v) for i, j, v in data.get("m", [])}
-        return cls(data["cutoff"], entries)
+    def from_json(cls, data) -> "EmbeddingTable":
+        """Table from its JSON form, which is untrusted: a malformed field
+        raises ``ValueError`` naming it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"an embedding table must be a JSON object, got {data!r:.40}")
+        cutoff = data.get("cutoff")
+        if type(cutoff) is not int or cutoff < 0:
+            raise ValueError(f"table field 'cutoff' must be a non-negative int, got {cutoff!r:.40}")
+        items = data.get("m", [])
+        if not isinstance(items, list):
+            raise ValueError(f"table field 'm' must be a list, got {items!r:.40}")
+        entries = {}
+        for item in items:
+            try:
+                i, j, value = item
+                if type(i) is not int or type(j) is not int or not isinstance(value, str):
+                    raise TypeError
+                entries[(i, j)] = Fraction(value)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"table entry {item!r:.40} is not [int, int, rational string]"
+                ) from None
+        return cls(cutoff, entries)
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(json.load(handle))
+            try:
+                data = json.load(handle)
+            except RecursionError:
+                raise ValueError(f"{path}: JSON nested too deeply") from None
+        return cls.from_json(data)
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import stablechar
-from stablechar import cache
+from stablechar import cache, checks, cli
 from stablechar.embeddings import Decomposition
 
 # The child processes import the same copy of the package as this one.
@@ -149,6 +150,40 @@ def test_embed_source_flags_are_exclusive():
     run_cli("embed", "--lambda", "2", expect_code=2)
 
 
+@pytest.mark.parametrize(
+    "content, fragment",
+    [
+        ({"schema": 1}, "'cutoff'"),
+        ([1, 2], "JSON object"),
+        ({"schema": 1, "cutoff": 4, "m": [[1, 0, None]]}, "entry [1, 0, None]"),
+        ({"schema": 1, "cutoff": "4"}, "'cutoff'"),
+        ({"schema": 1, "cutoff": True}, "'cutoff'"),
+        ({"schema": 1, "cutoff": 4, "m": [[1.5, 0, "1"]]}, "entry [1.5, 0, '1']"),
+        ({"schema": 1, "cutoff": 4, "m": [[5, 0, "1"]]}, "entry (5,0) outside"),
+        ("[" * 100000, "nested too deeply"),
+    ],
+    ids=[
+        "no-cutoff",
+        "not-an-object",
+        "null-value",
+        "string-cutoff",
+        "bool-cutoff",
+        "float-index",
+        "out-of-bounds",
+        "deep-nesting",
+    ],
+)
+def test_malformed_table_is_a_usage_error(tmp_path, content, fragment):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        content if isinstance(content, str) else json.dumps(content), encoding="utf-8"
+    )
+    proc = run_cli("embed", "--table", str(path), "--lambda", "1", expect_code=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and fragment in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_embed_cutoff_error_surfaces(tmp_path):
     path = tmp_path / "small.json"
     path.write_text(json.dumps({"schema": 1, "cutoff": 2, "m": []}), encoding="utf-8")
@@ -197,6 +232,104 @@ def test_verify_linear_seeded():
 def test_verify_eqquad_small():
     proc = run_cli("verify", "--prop", "eqquad", "--max", "2")
     assert proc.stdout.splitlines()[-1] == "verify: 8/8 checks passed"
+
+
+KR_MAX_2 = """\
+kr family=C rect=1x1: PASS
+kr family=C rect=1x2: PASS
+kr family=C rect=2x1: PASS
+kr family=C rect=2x2: PASS
+kr family=BD rect=1x1: PASS
+kr family=BD rect=1x2: PASS
+kr family=BD rect=2x1: PASS
+kr family=BD rect=2x2: PASS
+verify: 8/8 checks passed
+"""
+
+
+@pytest.mark.parametrize(
+    "args, stdout",
+    [
+        (["--prop", "kr", "--max", "2"], KR_MAX_2),
+        (
+            ["--prop", "parity"],
+            "parity p=1,0,2 k=0: -1 = -1: PASS\n"
+            "parity p=1,0,2 k=1: 2 = 2: PASS\n"
+            + "".join(f"parity p=1,0,2 k={k}: 0 = 0: PASS\n" for k in range(2, 10))
+            + "verify: 10/10 checks passed\n",
+        ),
+        (
+            ["--prop", "linear", "--d", "2", "--k", "6", "--trials", "1", "--seed", "0"],
+            "linear d=2 k=4 trial=0: PASS\n"
+            "linear d=2 k=5 trial=0: PASS\n"
+            "linear d=2 k=6 trial=0: PASS\n"
+            "verify: 3/3 checks passed (seed 0)\n",
+        ),
+        (
+            ["--prop", "oracle", "--max-size", "3", "--series", "1,1/2"],
+            "oracle p=1,1/2 max-size=3: PASS\nverify: 1/1 checks passed\n",
+        ),
+    ],
+)
+def test_verify_full_output(args, stdout):
+    proc = run_cli("verify", *args)
+    assert proc.stdout == stdout
+    assert proc.stderr == ""
+
+
+def test_verify_failing_case_exits_one(monkeypatch, capsys):
+    monkeypatch.delenv(cache.ENV_VAR, raising=False)
+    rectangle_check = checks.rectangle_check
+
+    def one_wrong(height, width, family):
+        report = rectangle_check(height, width, family)
+        if (height, width, family) == (1, 2, "BD"):
+            return dataclasses.replace(report, matches=False)
+        return report
+
+    monkeypatch.setattr(checks, "rectangle_check", one_wrong)
+    assert cli.main(["verify", "--prop", "kr", "--max", "2"]) == 1
+    expected = KR_MAX_2.replace("BD rect=1x2: PASS", "BD rect=1x2: FAIL")
+    assert capsys.readouterr().out == expected.replace("8/8", "7/8")
+
+
+def test_verify_prints_decided_cases_before_an_error():
+    proc = run_cli(
+        "verify", "--prop", "parity", "--series", "1,0,0,1", "--k", "2", expect_code=2
+    )
+    assert proc.stdout == "parity p=1,0,0,1 k=0: 1 = 1: PASS\n"
+    assert proc.stderr == "error: parity_coefficient needs an even series\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--prop", "kr", "--max", "-1"],
+        ["--prop", "eqquad", "--max", "two"],
+        ["--prop", "oracle", "--max-size", "-1"],
+        ["--prop", "parity", "--k", "-1"],
+        ["--prop", "linear", "--trials", "-3"],
+    ],
+)
+def test_verify_rejects_negative_bounds(args):
+    proc = run_cli("verify", *args, expect_code=2)
+    assert proc.stdout == ""
+    assert "expected a non-negative integer" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, bounds",
+    [
+        (["--prop", "kr", "--max", "0"], "--max 0"),
+        (["--prop", "eqquad", "--max", "0"], "--max 0"),
+        (["--prop", "linear", "--trials", "0"], "--trials 0"),
+        (["--prop", "constant", "--d", "2", "--d", "3", "--k", "3"], "--k 3"),
+    ],
+)
+def test_verify_without_cases_exits_two(args, bounds):
+    proc = run_cli("verify", *args, expect_code=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: no case to check") and bounds in proc.stderr
 
 
 def test_scan_single_point():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from stablechar import checks
 from stablechar.bcd import bcd_multiply
 from stablechar.embeddings import (
     CutoffError,
@@ -18,7 +19,7 @@ from stablechar.embeddings import (
     verify_linear_identity,
 )
 from stablechar.partitions import EMPTY, Partition, partitions_through
-from stablechar.schur import FormalSum, dual_jacobi_trudi, schur_multiply
+from stablechar.schur import FormalSum, dual_jacobi_trudi
 from stablechar.series import Series, TruncationError, random_rational
 
 EX_322 = {
@@ -107,13 +108,14 @@ def test_dual_jacobi_trudi_even_parity_generators():
 def test_oracle_equivalence_through_size_six():
     rng = random.Random(29)
     quad = Series((1, random_rational(rng), random_rational(rng)))
-    series = [Series.one(), Series.geom2(8), Series.geom(8), Series.from_text("1,1"), quad]
-    for p in series:
-        table = table_from_series(p, 8)
-        for lam in partitions_through(6):
-            skew_route = image_by_skewing(p, lam)
-            table_route = image_from_table(table, lam)
-            assert skew_route.terms == table_route.terms, (p, lam)
+    series = [
+        ("one", Series.one()),
+        ("geom2", Series.geom2(8)),
+        ("geom", Series.geom(8)),
+        ("1,1", Series.from_text("1,1")),
+        ("quad", quad),
+    ]
+    assert [label for label, ok in checks.oracle(series, 6) if not ok] == []
 
 
 def test_image_from_table_cutoff_guard():
@@ -137,18 +139,8 @@ def test_table_determination_bound():
 
 
 def test_ring_homomorphism_small():
-    shapes = list(partitions_through(3))
-    for p in [Series.one(), Series.geom2(6)]:
-        images = {lam: image_by_skewing(p, lam).as_sum() for lam in partitions_through(6)}
-        for mu in shapes:
-            for nu in shapes:
-                prod = schur_multiply(
-                    FormalSum.single("schur", mu), FormalSum.single("schur", nu)
-                )
-                lhs = FormalSum.zero("sp")
-                for lam, c in prod.terms.items():
-                    lhs = lhs + images[lam].scaled(c)
-                assert lhs == bcd_multiply(images[mu], images[nu])
+    series = [("one", Series.one()), ("geom2", Series.geom2(6))]
+    assert [label for label, ok in checks.ringhom(series, 3) if not ok] == []
 
 
 def test_support_containment_for_positive_kernels():
@@ -192,13 +184,9 @@ def test_verify_linear_identity_constant_table():
 
 def test_verify_linear_identity_random_tables():
     rng = random.Random(53)
-    for d in (1, 2):
-        for trial in range(3):
-            table = random_table(9, d, rng)
-            for k in range(d + 2, 7):
-                report = verify_linear_identity(table, d, k)
-                assert report.equal, (d, k, trial)
-                assert report.rectangle_coefficient == -report.row_coefficient
+    tables = [(d, trial, random_table(9, d, rng)) for d in (1, 2) for trial in range(3)]
+    # A case passes only if its rectangle coefficient is minus its row coefficient.
+    assert [label for label, ok in checks.identities("linear", tables, 6) if not ok] == []
 
 
 def test_verify_linear_identity_preconditions():
