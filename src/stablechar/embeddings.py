@@ -11,7 +11,13 @@ constructions are provided and used as mutual oracles:
   the coefficients of p.
 * ``image_from_table(table, lam)`` pushes the table's generator images
   through the dual Jacobi-Trudi determinant with Newell-Littlewood
-  multiplication.
+  multiplication.  The images are scaled to integers first (the n-th times
+  L^n, with L the lcm of the denominators of the table's entries), so every
+  minor is an integer sum and a result is divided once, by L^{|lam|}.  The
+  minors are memoized for one table at a time in the memo table
+  ``table_minors`` of :mod:`cache`, keyed by their matrix, so that every
+  shape of the table shares them; a different table replaces the memo, and
+  it is never persisted.
 
 ``table_from_series`` bridges the two: the table of the embedding built
 from p has constants b_{i-j}, where 1 + b_1 x + b_2 x^2 + ... is the dual
@@ -24,6 +30,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import cache
 from .bcd import bcd_multiply
@@ -32,7 +39,7 @@ from .partitions import (
     Partition,
     subpartitions,
 )
-from .schur import FormalSum, _normalize, dual_jacobi_trudi, skew_expand
+from .schur import FormalSum, _integers, _normalize, dual_jacobi_trudi, skew_expand
 from .series import Series, TruncationError, _det, dual, random_rational
 
 __all__ = [
@@ -117,9 +124,12 @@ class EmbeddingTable:
     @classmethod
     def from_json(cls, data) -> "EmbeddingTable":
         """Table from its JSON form, which is untrusted: a malformed field
-        raises ``ValueError`` naming it."""
+        raises ``ValueError`` naming it, and so does an entry given twice."""
         if not isinstance(data, dict):
             raise ValueError(f"an embedding table must be a JSON object, got {data!r:.40}")
+        schema = data.get("schema")
+        if type(schema) is not int or schema != 1:
+            raise ValueError(f"table field 'schema' must be 1, got {schema!r:.40}")
         cutoff = data.get("cutoff")
         if type(cutoff) is not int or cutoff < 0:
             raise ValueError(f"table field 'cutoff' must be a non-negative int, got {cutoff!r:.40}")
@@ -132,11 +142,14 @@ class EmbeddingTable:
                 i, j, value = item
                 if type(i) is not int or type(j) is not int or not isinstance(value, str):
                     raise TypeError
-                entries[(i, j)] = Fraction(value)
+                value = Fraction(value)
             except (TypeError, ValueError, ZeroDivisionError):
                 raise ValueError(
                     f"table entry {item!r:.40} is not [int, int, rational string]"
                 ) from None
+            if (i, j) in entries:
+                raise ValueError(f"table field 'm' has two entries for ({i},{j})")
+            entries[(i, j)] = value
         return cls(cutoff, entries)
 
     @classmethod
@@ -154,6 +167,9 @@ class EmbeddingTable:
             and self.cutoff == other.cutoff
             and self._m == other._m
         )
+
+    def __hash__(self) -> int:
+        return hash((self.cutoff, frozenset(self._m.items())))
 
     def __repr__(self) -> str:
         return f"EmbeddingTable(cutoff={self.cutoff}, {len(self._m)} off-diagonal entries)"
@@ -271,6 +287,32 @@ def image_by_skewing(p: Series, lam: Partition) -> Decomposition:
     return Decomposition(lam, "sp", terms)
 
 
+# Scaled minors of one table at a time: {table: (L, scaled generators, memo)}
+# with a single entry, replaced when another table arrives.
+_table_minors: dict[EmbeddingTable, tuple] = cache.table("table_minors")
+
+
+def _table_state(table: EmbeddingTable) -> tuple[int, Callable, dict]:
+    """(L, n -> L^n times generator image n, memo of its minors) for the
+    table, where L is the lcm of the denominators of its entries; drops the
+    state of any other table.  The scaled images are built once each."""
+    for other, state in _table_minors.items():
+        if other is table or other == table:
+            return state
+    _table_minors.clear()
+    den, _ = _integers(table._m.values())
+    scaled: dict[int, FormalSum] = {}
+
+    def gen(n: int) -> FormalSum:
+        g = scaled.get(n)
+        if g is None:
+            g = scaled[n] = table.generator_image(n).scaled(den**n)
+        return g
+
+    state = _table_minors[table] = (den, gen, {})
+    return state
+
+
 def image_from_table(
     table: EmbeddingTable, lam: Partition, max_deficit: int | None = None
 ) -> Decomposition:
@@ -279,6 +321,11 @@ def image_from_table(
     Needs table entries up to lam'_1 + (number of columns of lam) - 1, the
     largest generator index in the determinant.  ``max_deficit`` keeps only
     the top degrees (see :func:`stablechar.schur.dual_jacobi_trudi`).
+
+    The determinant runs on the generator images scaled to integer
+    coefficients, gen(n) = L^n times image n, and shares its minors with
+    every earlier call on the same table; the result is divided by
+    L^{|lam|}, the weight of the full matrix.
     """
     lam_t = lam.transpose()
     need = (lam_t.part(0) + len(lam_t) - 1) if len(lam_t) else 0
@@ -286,10 +333,11 @@ def image_from_table(
         raise CutoffError(
             f"shape {lam} needs table entries through {need}, cutoff is {table.cutoff}"
         )
-    result = dual_jacobi_trudi(
-        lam, table.generator_image, bcd_multiply, max_deficit=max_deficit
-    )
-    return Decomposition(lam, "sp", result.terms)
+    den, gen, memo = _table_state(table)
+    result = dual_jacobi_trudi(lam, gen, bcd_multiply, max_deficit=max_deficit, memo=memo)
+    scale = den**lam.size
+    terms = {mu: _normalize(Fraction(c, scale)) for mu, c in result.terms.items()}
+    return Decomposition(lam, "sp", terms)
 
 
 # ---------------------------------------------------------------------------

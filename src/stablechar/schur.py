@@ -29,10 +29,12 @@ fewer rows) is shorter: on mu' * nu' when min(mu_1, nu_1) is less than
 min(len(mu), len(nu)), transposing the result.
 
 ``dual_jacobi_trudi`` is the ring-generic determinant evaluator used to
-rebuild images of arbitrary shapes from images of single columns.  Its
-minors are memoized on the surviving column set, and it can truncate every
-minor below a degree floor (each minor is homogeneous in the generator
-grading, so the floor is well defined).
+rebuild images of arbitrary shapes from images of single columns (the
+e-basis Jacobi-Trudi identity, Macdonald I.(3.5)).  Its minors are memoized
+by the matrix they stand for, in a memo the caller may own and share across
+the shapes of one generator family, and it can truncate every minor below a
+degree floor (each minor is homogeneous in the generator grading, so the
+floor is well defined).
 
 The memo tables of skew expansions and basis products (``skew`` and
 ``product``) live in :mod:`cache`, which can persist them; a derived entry
@@ -531,6 +533,7 @@ def dual_jacobi_trudi(
     gen: Callable[[int], FormalSum],
     mult: Callable[[FormalSum, FormalSum], FormalSum],
     max_deficit: int | None = None,
+    memo: dict | None = None,
 ) -> FormalSum:
     """Determinant of the matrix with (i, j) entry gen(lam'_i - i + j).
 
@@ -541,58 +544,48 @@ def dual_jacobi_trudi(
     that weight, so this computes the top ``max_deficit`` degrees of the
     full determinant exactly.  In that mode ``mult`` is called with a third
     argument, the degree floor of the product, so it can skip dead terms.
+
+    The determinant is expanded along its first row.  A minor keeps rows
+    i, i+1, ... and columns c_0 < c_1 < ... of the matrix, whose entries
+    are gen(s_i + c_k) with s_i = lam'_i - i, so it is keyed by the matrix
+    it stands for: ((s_i + c_0, s_{i+1} + c_0, ...), (0, c_1 - c_0, ...),
+    max_deficit).  The key also fixes the minor's weight, the sum of its
+    two tuples, and with it the degree floor.  A minor that several shapes
+    share is thus computed once per ``memo``.  Pass a dict to share minors
+    across calls; one memo serves one ``gen`` and one ``mult``.  Without it
+    each call starts a fresh one.
     """
-    lam_t = lam.transpose().parts
-    r = len(lam_t)
     unit = gen(0)
-    basis = unit.basis
-    if r == 0:
+    lam_t = lam.transpose().parts
+    if not lam_t:
         return unit
-    shift = [lam_t[i] - i for i in range(r)]
-    suffix = [0] * (r + 1)
-    for i in range(r - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + shift[i]
+    if memo is None:
+        memo = {}
 
-    gens: dict[int, FormalSum] = {0: unit}
-
-    def gen_at(n: int) -> FormalSum | None:
-        if n < 0:
-            return None
-        g = gens.get(n)
-        if g is None:
-            g = gen(n)
-            gens[n] = g
-        return g if g else None
-
-    memo: dict[int, FormalSum] = {}
-    full = (1 << r) - 1
-
-    def minor(mask: int) -> FormalSum:
-        if mask == 0:
-            return unit
-        got = memo.get(mask)
+    def minor(rows: tuple, cols: tuple) -> FormalSum:
+        key = (rows, cols, max_deficit)
+        got = memo.get(key)
         if got is not None:
             return got
-        i = r - bin(mask).count("1")
-        floor = None
-        if max_deficit is not None:
-            weight = suffix[i] + sum(j for j in range(r) if mask & (1 << j))
-            floor = weight - max_deficit
+        floor = None if max_deficit is None else sum(rows) + sum(cols) - max_deficit
+        first, below = rows[0], rows[1:]
         expansion = []
-        pos = 0
-        for j in range(r):
-            bit = 1 << j
-            if not mask & bit:
+        for k, c in enumerate(cols):
+            g = gen(first + c) if first + c >= 0 else None
+            if not g:
                 continue
-            g = gen_at(shift[i] + j)
-            if g is not None:
-                sub = minor(mask ^ bit)
-                if sub:
-                    term = mult(g, sub) if floor is None else mult(g, sub, floor)
-                    expansion.append((-1 if pos % 2 else 1, term))
-            pos += 1
-        acc = FormalSum._raw(basis, _combination(expansion))
-        memo[mask] = acc
-        return acc
+            if not below:
+                sub = unit
+            elif k:
+                sub = minor(below, cols[:k] + cols[k + 1 :])
+            else:  # the second column becomes the first: shift it to 0
+                c0 = cols[1]
+                sub = minor(tuple(r + c0 for r in below), tuple(c - c0 for c in cols[1:]))
+            if sub:
+                term = mult(g, sub) if floor is None else mult(g, sub, floor)
+                expansion.append((-1 if k & 1 else 1, term))
+        got = memo[key] = FormalSum._raw(unit.basis, _combination(expansion))
+        return got
 
-    return minor(full)
+    r = len(lam_t)
+    return minor(tuple(lam_t[i] - i for i in range(r)), tuple(range(r)))

@@ -4,7 +4,8 @@ None of these share code paths with the package: partition counts come from
 the pentagonal-number recurrence, Schur products from the h-determinant plus
 the Pieri rule, rectangle skews from the rotated-complement rule, and
 determinants from the Leibniz permutation expansion and from Bareiss
-elimination (the engine expands its Jacobi-Trudi determinants by minors).
+elimination (the engine expands its Jacobi-Trudi determinants by minors,
+over numbers in ``series`` and over a ring in ``dual_jacobi_trudi``).
 """
 
 from __future__ import annotations
@@ -141,6 +142,27 @@ def bareiss_det(rows: list[list]) -> Fraction:
                 row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
         prev = pivot
     return Fraction(sign * m[n - 1][n - 1] if n else 1, scale)
+
+
+def leibniz_dual_jacobi_trudi(lam: Partition, gen, mult, max_deficit=None):
+    """det(gen(lam'_i - i + j)) as the signed sum over permutations of the
+    products of its entries, gen(n) = 0 for n < 0; with ``max_deficit``, only
+    the terms of degree >= |lam| - max_deficit.  The columns of lam are
+    counted here, and the products are taken left to right from gen(0)."""
+    cols = [sum(1 for p in lam.parts if p > c) for c in range(lam.part(0))]
+    unit = gen(0)
+    total = unit.scaled(0)
+    for perm in itertools.permutations(range(len(cols))):
+        indices = [cols[i] - i + perm[i] for i in range(len(cols))]
+        if any(n < 0 for n in indices):
+            continue
+        term = unit
+        for n in indices:
+            term = mult(term, gen(n))
+        total = total + term.scaled(_perm_sign(perm))
+    if max_deficit is not None:
+        total = total.restricted(min_degree=lam.size - max_deficit)
+    return total
 
 
 def _perm_sign(perm: tuple) -> int:

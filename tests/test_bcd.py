@@ -203,3 +203,46 @@ def test_newell_littlewood_conjugation_symmetry(mu, nu, data):
     direct = newell_littlewood(lam, mu, nu)
     cache.clear_all()
     assert newell_littlewood(lam.transpose(), mu.transpose(), nu.transpose()) == direct
+
+
+small_coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def sp_sums(shapes):
+    return st.dictionaries(shapes, small_coefficients, min_size=1, max_size=3).map(
+        lambda terms: FormalSum("sp", terms)
+    )
+
+
+tiny_partitions = st.lists(st.integers(1, 2), max_size=2).map(
+    lambda parts: Partition(sorted(parts, reverse=True))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sp_sums(small_partitions), sp_sums(small_partitions))
+def test_bcd_multiply_is_commutative(a, b):
+    cache.clear_all()
+    ab = bcd_multiply(a, b)
+    cache.clear_all()
+    assert bcd_multiply(b, a) == ab
+
+
+@settings(max_examples=25, deadline=None)
+@given(sp_sums(tiny_partitions), sp_sums(tiny_partitions), sp_sums(tiny_partitions))
+def test_bcd_multiply_is_associative(a, b, c):
+    cache.clear_all()
+    left = bcd_multiply(bcd_multiply(a, b), c)
+    cache.clear_all()
+    assert bcd_multiply(a, bcd_multiply(b, c)) == left
+
+
+@settings(max_examples=40, deadline=None)
+@given(sp_sums(small_partitions), sp_sums(small_partitions), st.data())
+def test_truncated_product_is_the_restricted_full_product(a, b, data):
+    top = sum(max((lam.size for lam in x.terms), default=0) for x in (a, b))
+    floor = data.draw(st.integers(0, top + 1), label="floor")
+    cache.clear_all()
+    truncated = bcd_multiply(a, b, min_degree=floor)
+    cache.clear_all()
+    assert truncated == bcd_multiply(a, b).restricted(min_degree=floor)

@@ -161,6 +161,9 @@ def test_embed_source_flags_are_exclusive():
         ({"schema": 1, "cutoff": 4, "m": [[1.5, 0, "1"]]}, "entry [1.5, 0, '1']"),
         ({"schema": 1, "cutoff": 4, "m": [[5, 0, "1"]]}, "entry (5,0) outside"),
         ("[" * 100000, "nested too deeply"),
+        ({"schema": 1, "cutoff": 4, "m": [[1, 0, "1"], [1, 0, "2"]]}, "two entries for (1,0)"),
+        ({"schema": 7, "cutoff": 4, "m": []}, "'schema' must be 1, got 7"),
+        ({"cutoff": 4, "m": []}, "'schema' must be 1, got None"),
     ],
     ids=[
         "no-cutoff",
@@ -171,6 +174,9 @@ def test_embed_source_flags_are_exclusive():
         "float-index",
         "out-of-bounds",
         "deep-nesting",
+        "duplicate-entry",
+        "wrong-schema",
+        "no-schema",
     ],
 )
 def test_malformed_table_is_a_usage_error(tmp_path, content, fragment):

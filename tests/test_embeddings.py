@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from stablechar import checks
+from oracles import leibniz_dual_jacobi_trudi
+from stablechar import checks, embeddings
 from stablechar.bcd import bcd_multiply
 from stablechar.embeddings import (
     CutoffError,
@@ -103,6 +104,67 @@ def test_dual_jacobi_trudi_even_parity_generators():
         Partition((2,)), table.generator_image, bcd_multiply
     )
     assert result == FormalSum.single("sp", Partition((2,)))
+
+
+# Shapes with at most four columns through size 7 whose determinant reads
+# table entries through 8.
+LEIBNIZ_SHAPES = [
+    lam for lam in partitions_through(7) if lam.part(0) <= 4 and lam.part(0) + len(lam) <= 9
+]
+
+
+def test_dual_jacobi_trudi_bcd_matches_leibniz_oracle():
+    # Seeded rational tables, full and top-degree determinants, each from an
+    # empty memo and again with one memo per table shared by every shape
+    # and deficit (the deficits interleave, so a key that ignored them
+    # would hand a truncated minor to a full one).
+    for seed, d in ((11, 1), (12, 2), (13, 3)):
+        table = random_table(8, d, random.Random(seed))
+        shared: dict = {}
+        for n, lam in enumerate(LEIBNIZ_SHAPES):
+            for deficit in ((None, 1, 2, 3) if n % 2 else (3, None, 2, 1)):
+                gen = table.generator_image
+                expected = leibniz_dual_jacobi_trudi(lam, gen, bcd_multiply, deficit)
+                fresh = dual_jacobi_trudi(lam, gen, bcd_multiply, max_deficit=deficit)
+                assert fresh == expected, (seed, lam, deficit)
+                again = dual_jacobi_trudi(lam, gen, bcd_multiply, deficit, memo=shared)
+                assert again == expected, (seed, lam, deficit)
+
+
+def test_image_from_table_matches_leibniz_oracle():
+    # Through the table's shared state, with entries of several
+    # denominators, so that a wrong power of L changes the result.
+    table = random_table(8, 2, random.Random(21))
+    assert len({Fraction(v).denominator for _, _, v in table.to_json()["m"]}) > 2
+    for n, lam in enumerate(LEIBNIZ_SHAPES):
+        for deficit in ((None, 2) if n % 2 else (1, None)):
+            expected = leibniz_dual_jacobi_trudi(
+                lam, table.generator_image, bcd_multiply, deficit
+            )
+            got = image_from_table(table, lam, max_deficit=deficit)
+            assert got.as_sum() == expected, (lam, deficit)
+
+
+def test_image_from_table_state_follows_the_table():
+    table = random_table(8, 1, random.Random(31))
+    copy = EmbeddingTable.from_json(json.loads(json.dumps(table.to_json())))
+    assert copy == table and copy is not table and hash(copy) == hash(table)
+    data = table.to_json()
+    i, j, value = data["m"][5]
+    data["m"][5] = [i, j, str(Fraction(value) + 1)]
+    changed = EmbeddingTable.from_json(data)
+    assert changed != table
+    lam = Partition((3, 2, 1))
+    first = image_from_table(table, lam)
+    state = embeddings._table_state(table)
+    assert image_from_table(copy, lam) == first
+    assert embeddings._table_state(copy) is state  # an equal table keeps it
+    got = image_from_table(changed, lam)
+    assert embeddings._table_state(changed) is not state
+    expected = leibniz_dual_jacobi_trudi(lam, changed.generator_image, bcd_multiply)
+    assert got.as_sum() == expected != first.as_sum()
+    # Back to the first table: its state is rebuilt and gives the same image.
+    assert image_from_table(table, lam) == first
 
 
 def test_oracle_equivalence_through_size_six():

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import jt_product
+from oracles import jt_product, leibniz_dual_jacobi_trudi
 from stablechar import cache, schur
 from stablechar.partitions import EMPTY, Partition, partitions_of, partitions_through, subpartitions
 from stablechar.schur import (
@@ -227,6 +228,18 @@ def test_dual_jacobi_trudi_row_example():
     assert dual_jacobi_trudi(Partition((2,)), column_gen, schur_multiply) == s(2)
 
 
+def test_dual_jacobi_trudi_matches_leibniz_oracle():
+    # Every shape with at most five columns through size 8, each from an
+    # empty memo and again with one memo shared by the whole sequence.
+    shapes = [lam for lam in partitions_through(8) if lam.part(0) <= 5]
+    shared: dict = {}
+    for lam in shapes + shapes[::-1]:
+        expected = leibniz_dual_jacobi_trudi(lam, column_gen, schur_multiply)
+        assert expected == FormalSum.single("schur", lam), lam
+        assert dual_jacobi_trudi(lam, column_gen, schur_multiply) == expected, lam
+        assert dual_jacobi_trudi(lam, column_gen, schur_multiply, memo=shared) == expected, lam
+
+
 def test_formal_sum_arithmetic_and_validation():
     a = s(2) + s(1, 1)
     assert a - s(1, 1) == s(2)
@@ -257,3 +270,28 @@ def test_formal_sum_graded_and_restricted():
     assert set(grades) == {1, 2, 4}
     assert a.restricted(min_degree=2) == s(2) + s(3, 1)
     assert a.restricted(max_degree=2) == s(2) + s(1)
+
+
+small_partitions = st.lists(st.integers(1, 4), max_size=4).map(
+    lambda parts: Partition(sorted(parts, reverse=True))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(small_partitions, st.integers(-5, 5), max_size=4))
+def test_omega_is_an_involution(terms):
+    a = FormalSum("schur", terms)
+    assert omega(omega(a)) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_partitions, small_partitions, st.data())
+def test_skew_product_adjointness(mu, nu, data):
+    # <s_lam, s_mu s_nu> = <s_{lam/mu}, s_nu>: strip products on one side,
+    # lattice fillings of the skew shape on the other, each from an empty memo.
+    lam = data.draw(st.sampled_from(partitions_of(mu.size + nu.size)), label="lam")
+    cache.clear_all()
+    product = schur_multiply(FormalSum.single("schur", mu), FormalSum.single("schur", nu))
+    cache.clear_all()
+    skew = skew_expand(lam, mu).coefficient(nu)
+    assert product.coefficient(lam) == skew == lr_coefficient(lam, mu, nu)
