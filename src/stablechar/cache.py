@@ -5,10 +5,10 @@ at import time and look entries up inline.  Entries are immutable and only
 ever inserted, so sharing the tables across threads is safe under the usual
 dict guarantees.  The exceptions are ``minors``, the determinant minors of
 :mod:`series`, and ``table_minors``, the dual Jacobi-Trudi minors of
-:mod:`embeddings`: each holds the memo of a single series or embedding
-table and is emptied when another one arrives, so that its size stays that
-of one.  A caller keeps the memo it fetched, which is still only ever
-inserted into.
+:mod:`embeddings`: each holds the state of a single owner, a series or an
+embedding table, and ``latest`` empties it when another owner arrives, so
+that its size stays that of one.  A caller keeps the state it fetched,
+whose memo is still only ever inserted into.
 
 Pointing the ``STABLECHAR_CACHE_DIR`` environment variable at a directory
 makes the command line load the ``PERSISTED`` tables on startup and write
@@ -55,6 +55,18 @@ PERSISTED = tuple(_SIZE_RULES)
 def table(name: str) -> dict:
     """The memo table called ``name``, created empty on first use."""
     return _TABLES.setdefault(name, {})
+
+
+def latest(memo: dict, owner, build):
+    """The state ``memo`` holds for ``owner`` (the same object or an equal
+    one), else ``build(owner)`` after emptying ``memo``: a one-owner table
+    keeps the state of the last owner only."""
+    for other, state in memo.items():
+        if other is owner or other == owner:
+            return state
+    memo.clear()
+    state = memo[owner] = build(owner)
+    return state
 
 
 def clear_all() -> None:

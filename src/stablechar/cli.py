@@ -317,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_kappa = sub.add_parser("kappa", help="kappa kernel expansion / positivity verdict")
     p_kappa.add_argument("--series", required=True)
-    p_kappa.add_argument("--degree", type=int, required=True)
+    p_kappa.add_argument("--degree", type=_count, required=True)
     p_kappa.add_argument(
         "--check-positivity",
         action="store_true",
@@ -364,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="quadratic kernel scan 1 + b x + a x^2")
     p_scan.add_argument("--a")
     p_scan.add_argument("--b")
-    p_scan.add_argument("--degree", type=int, default=11)
+    p_scan.add_argument("--degree", type=_count, default=11)
     p_scan.add_argument("--grid", metavar="SPEC", help="a=lo..hi:step,b=lo..hi:step")
     p_scan.add_argument("--csv", metavar="OUT", help="write one CSV row per grid point")
     p_scan.add_argument("--json", action="store_true")

@@ -287,19 +287,14 @@ def image_by_skewing(p: Series, lam: Partition) -> Decomposition:
     return Decomposition(lam, "sp", terms)
 
 
-# Scaled minors of one table at a time: {table: (L, scaled generators, memo)}
-# with a single entry, replaced when another table arrives.
+# Scaled minors of one table at a time (``cache.latest``).
 _table_minors: dict[EmbeddingTable, tuple] = cache.table("table_minors")
 
 
 def _table_state(table: EmbeddingTable) -> tuple[int, Callable, dict]:
-    """(L, n -> L^n times generator image n, memo of its minors) for the
-    table, where L is the lcm of the denominators of its entries; drops the
-    state of any other table.  The scaled images are built once each."""
-    for other, state in _table_minors.items():
-        if other is table or other == table:
-            return state
-    _table_minors.clear()
+    """(L, n -> L^n times generator image n, empty memo of its minors) for
+    the table, where L is the lcm of the denominators of its entries.  The
+    scaled images are built once each."""
     den, _ = _integers(table._m.values())
     scaled: dict[int, FormalSum] = {}
 
@@ -309,8 +304,7 @@ def _table_state(table: EmbeddingTable) -> tuple[int, Callable, dict]:
             g = scaled[n] = table.generator_image(n).scaled(den**n)
         return g
 
-    state = _table_minors[table] = (den, gen, {})
-    return state
+    return den, gen, {}
 
 
 def image_from_table(
@@ -333,7 +327,7 @@ def image_from_table(
         raise CutoffError(
             f"shape {lam} needs table entries through {need}, cutoff is {table.cutoff}"
         )
-    den, gen, memo = _table_state(table)
+    den, gen, memo = cache.latest(_table_minors, table, _table_state)
     result = dual_jacobi_trudi(lam, gen, bcd_multiply, max_deficit=max_deficit, memo=memo)
     scale = den**lam.size
     terms = {mu: _normalize(Fraction(c, scale)) for mu, c in result.terms.items()}

@@ -1,10 +1,19 @@
 """Rectangle decompositions in the stable sp/o rings and weight notation.
 
-The two distinguished embeddings (kernels p = 1 and p = 1/(1-x^2)) give a
-candidate decomposition for every shape; on rectangles these match the
-classical domino-removal description, which ``rectangle_check`` verifies by
-computing both sides independently.  ``quadratic_identity_check`` tests the
-square-of-a-rectangle identity in the character ring.
+The two distinguished embeddings (kernels p = 1/(1-x^2) and p = 1) give a
+candidate decomposition for every shape.  Their kappa kernels are
+Littlewood's sums (Macdonald, *Symmetric Functions and Hall Polynomials*,
+I.5 Ex. 5)
+
+    prod_{i<=j} (1 - x_i x_j)^{-1} = sum of s_mu over mu with even rows,
+    prod_{i<j}  (1 - x_i x_j)^{-1} = sum of s_mu over mu with even columns,
+
+so ``kr_decomposition`` skews lam by those shapes directly; the kernel
+route of :func:`stablechar.embeddings.image_by_skewing` is its test oracle.
+On rectangles the decompositions match the classical domino-removal
+description, which ``rectangle_check`` verifies by computing both sides
+independently.  ``quadratic_identity_check`` tests the square-of-a-rectangle
+identity in the character ring.
 """
 
 from __future__ import annotations
@@ -12,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bcd import bcd_multiply
-from .embeddings import Decomposition, image_by_skewing
-from .partitions import Partition
-from .schur import FormalSum
-from .series import Series
+from .embeddings import Decomposition
+from .partitions import Partition, all_even_columns, all_even_rows, subpartitions
+from .schur import FormalSum, skew_expand
 
 __all__ = [
     "FAMILIES",
@@ -71,16 +79,23 @@ def domino_removals(lam: Partition, orientation: str) -> set[Partition]:
 def kr_decomposition(lam: Partition, family: str) -> Decomposition:
     """Candidate decomposition of the reducible module attached to lam.
 
-    Family C uses the even-row kernel in the sp basis; family BD the
-    even-column kernel in the o basis.  Valid in the stable range, i.e. for
-    ranks exceeding the number of parts of lam plus two.
+    Family C sums the skew expansions of lam/mu over the mu inside lam with
+    even rows, in the sp basis; family BD over the mu with even columns, in
+    the o basis.  These are the images of s_lam under the embeddings with
+    kernels p = 1/(1-x^2) and p = 1, whose kappa kernels are Littlewood's
+    sums of s_mu over those shapes with coefficient 1 each.  Valid in the
+    stable range, i.e. for ranks exceeding the number of parts of lam plus
+    two.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
-    if family == "C":
-        return image_by_skewing(Series.geom2(lam.size), lam)
-    dec = image_by_skewing(Series.one(), lam)
-    return Decomposition(dec.source, "o", dec.terms)
+    basis, even = ("sp", all_even_rows) if family == "C" else ("o", all_even_columns)
+    terms: dict[Partition, int] = {}
+    for mu in subpartitions(lam):
+        if even(mu):
+            for nu, mult in skew_expand(lam, mu).terms.items():
+                terms[nu] = terms.get(nu, 0) + mult
+    return Decomposition(lam, basis, terms)
 
 
 @dataclass(frozen=True)
@@ -119,9 +134,6 @@ class QuadraticIdentityReport:
 
 
 def _w_character(height: int, width: int, family: str) -> FormalSum:
-    basis = "sp" if family == "C" else "o"
-    if height == 0 or width == 0:
-        return FormalSum.unit(basis)
     return kr_decomposition(Partition([width] * height), family).as_sum()
 
 

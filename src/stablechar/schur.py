@@ -201,11 +201,6 @@ class FormalSum:
                 out.pop(key, None)
         return FormalSum._raw(self.basis, out)
 
-    def relabeled(self, basis: str) -> "FormalSum":
-        if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}")
-        return FormalSum._raw(basis, dict(self.terms))
-
     def restricted(self, min_degree: int | None = None, max_degree: int | None = None) -> "FormalSum":
         out = {
             lam: c

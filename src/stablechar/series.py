@@ -217,22 +217,16 @@ class KappaExpansion:
         return None
 
 
-# Scaled minors of one series at a time: {p: (L, scaled coefficients, memo)}
-# with a single entry, replaced when another series arrives.
+# Scaled minors of one series at a time (``cache.latest``).
 _minors: dict[Series, tuple[int, tuple, dict]] = cache.table("minors")
 
 
 def _minor_state(p: Series) -> tuple[int, tuple, dict]:
-    """(L, (a_k L^k)_k, memo of scaled minors) for p, where L is the lcm of
-    the denominators of p; drops the memo of any other series."""
-    for q, state in _minors.items():
-        if q is p or q == p:
-            return state
-    _minors.clear()
+    """(L, (a_k L^k)_k, empty memo of scaled minors) for p, where L is the
+    lcm of the denominators of p."""
     den, nums = _integers(p.coeffs)
     scaled = tuple(c * den ** (k - 1) if k else 1 for k, c in enumerate(nums))
-    state = _minors[p] = (den, scaled, {})
-    return state
+    return den, scaled, {}
 
 
 def _minor(u: tuple, v: tuple, scaled: tuple, memo: dict) -> int:
@@ -283,7 +277,7 @@ def _det(p: Series, u: tuple, v: tuple = ()):
         return 1
     # The largest index in the matrix, at row 0 and column n - 1.
     p.coeff(u[0] - (v[n - 1] if len(v) == n else 0) + n - 1)
-    den, scaled, memo = _minor_state(p)
+    den, scaled, memo = cache.latest(_minors, p, _minor_state)
     d = _minor(u, v, scaled, memo)
     if den == 1:
         return d

@@ -381,6 +381,19 @@ def test_scan_usage():
     run_cli("scan", "--grid", "a=0..1:1/2,b=0..1:1/2", expect_code=2)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["kappa", "--series", "geom", "--degree", "-1"],
+        ["scan", "--a", "1/4", "--b", "3/10", "--degree", "-1"],
+    ],
+)
+def test_negative_degree_is_a_usage_error(args):
+    proc = run_cli(*args, expect_code=2)
+    assert proc.stdout == ""
+    assert "--degree" in proc.stderr and "expected a non-negative integer" in proc.stderr
+
+
 def test_cache_round_trip(tmp_path):
     cache_dir = tmp_path / "cache"
     env = {"STABLECHAR_CACHE_DIR": str(cache_dir)}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import leibniz_dual_jacobi_trudi
-from stablechar import checks, embeddings
+from stablechar import cache, checks, embeddings
 from stablechar.bcd import bcd_multiply
 from stablechar.embeddings import (
     CutoffError,
@@ -154,17 +154,22 @@ def test_image_from_table_state_follows_the_table():
     data["m"][5] = [i, j, str(Fraction(value) + 1)]
     changed = EmbeddingTable.from_json(data)
     assert changed != table
+
+    def state_of(t):
+        return cache.latest(embeddings._table_minors, t, embeddings._table_state)
+
     lam = Partition((3, 2, 1))
     first = image_from_table(table, lam)
-    state = embeddings._table_state(table)
+    state = state_of(table)
     assert image_from_table(copy, lam) == first
-    assert embeddings._table_state(copy) is state  # an equal table keeps it
+    assert state_of(copy) is state  # an equal table keeps it
     got = image_from_table(changed, lam)
-    assert embeddings._table_state(changed) is not state
+    assert state_of(changed) is not state
     expected = leibniz_dual_jacobi_trudi(lam, changed.generator_image, bcd_multiply)
     assert got.as_sum() == expected != first.as_sum()
     # Back to the first table: its state is rebuilt and gives the same image.
     assert image_from_table(table, lam) == first
+    assert state_of(table) is not state
 
 
 def test_oracle_equivalence_through_size_six():

@@ -2,6 +2,7 @@ import pytest
 
 from oracles import rectangle_complement
 from stablechar import cache, checks
+from stablechar.embeddings import Decomposition, image_by_skewing
 from stablechar.kr import (
     domino_removals,
     format_weight_decomposition,
@@ -15,6 +16,7 @@ from stablechar.kr import (
 )
 from stablechar.partitions import EMPTY, Partition, partitions_through, subpartitions
 from stablechar.schur import skew_expand
+from stablechar.series import Series
 
 
 def P(*parts):
@@ -71,9 +73,20 @@ def test_rectangle_skews_match_rotated_complement():
             assert expansion.terms == {expected: 1}
 
 
+def test_kr_decomposition_matches_kernel_route():
+    # Littlewood's sums against the kernels they expand: 1/(1-x^2) for C
+    # and 1 for BD, pushed through the skew Jacobi-Trudi coefficients.
+    geom2, one = Series.geom2(12), Series.one()
+    for lam in partitions_through(12):
+        c_dec = image_by_skewing(geom2, lam)
+        bd_dec = image_by_skewing(one, lam)
+        assert kr_decomposition(lam, "C") == Decomposition(lam, "sp", c_dec.terms)
+        assert kr_decomposition(lam, "BD") == Decomposition(lam, "o", bd_dec.terms)
+
+
 def test_rectangle_check_small():
     # A rectangle passes only if its decomposition has the expected shapes.
-    assert [label for label, ok in checks.kr(3) if not ok] == []
+    assert [label for label, ok in checks.kr(8) if not ok] == []
 
 
 def test_rectangle_check_single_box():
