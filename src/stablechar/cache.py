@@ -7,8 +7,11 @@ dict guarantees.  The exceptions are ``minors``, the determinant minors of
 :mod:`series`, and ``table_minors``, the dual Jacobi-Trudi minors of
 :mod:`embeddings`: each holds the state of a single owner, a series or an
 embedding table, and ``latest`` empties it when another owner arrives, so
-that its size stays that of one.  A caller keeps the state it fetched,
-whose memo is still only ever inserted into.
+that its size stays that of one.  A ``table_minors`` state holds two memos
+of minors, one for the determinants in the table's generator images and
+one for those in its row images, since a memo serves one family of
+entries.  A caller keeps the state it fetched, whose memos are still only
+ever inserted into.
 
 Pointing the ``STABLECHAR_CACHE_DIR`` environment variable at a directory
 makes the command line load the ``PERSISTED`` tables on startup and write

@@ -207,6 +207,11 @@ def _sign_char(value) -> str:
     return "+" if value > 0 else ("-" if value < 0 else "0")
 
 
+def _schur_text(lam) -> str:
+    """s[parts] as the text output of ``scan`` prints a shape, s[] when empty."""
+    return f"s[{lam.to_text() if not lam.is_empty else ''}]"
+
+
 def _scan_row(report) -> dict:
     critical = report.critical_coefficient
     return {
@@ -281,10 +286,8 @@ def _cmd_scan(args) -> int:
     hooks = "  ".join(f"t={t}:{c}" for t, c in report.hook_coefficients)
     print(f"coefficients of s[2^t,1^t]: {hooks}")
     for d, lam, c in report.per_degree_minimum:
-        print(f"deg {d} min: {c} at s[{lam.to_text() if not lam.is_empty else ''}]")
-    print(
-        f"binding shape: s[{report.binding_shape.to_text()}] coeff {report.binding_coefficient}"
-    )
+        print(f"deg {d} min: {c} at {_schur_text(lam)}")
+    print(f"binding shape: {_schur_text(report.binding_shape)} coeff {report.binding_coefficient}")
     exact_text = str(exact) if exact is not None else "irrational"
     print(f"boundary b(a) = {approx:.6f} ({exact_text})")
     return 0

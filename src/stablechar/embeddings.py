@@ -17,7 +17,14 @@ constructions are provided and used as mutual oracles:
   minors are memoized for one table at a time in the memo table
   ``table_minors`` of :mod:`cache`, keyed by their matrix, so that every
   shape of the table shares them; a different table replaces the memo, and
-  it is never persisted.
+  it is never persisted.  A truncated image (``max_deficit`` set) of a
+  shape with fewer rows than columns takes the short side instead: the
+  Jacobi-Trudi determinant det(h_{lam_i - i + j}) (Macdonald I.(3.4)), of
+  side len(lam) instead of lam_1, in the scaled images of the single rows
+  h_n, each a determinant in the generator images cut at the same deficit.
+  Only truncated images do so: a row image cut at deficit d holds at most
+  d + 1 degrees, but a full one holds every degree, and on full images the
+  row side was measured slower.
 
 ``table_from_series`` bridges the two: the table of the embedding built
 from p has constants b_{i-j}, where 1 + b_1 x + b_2 x^2 + ... is the dual
@@ -287,16 +294,21 @@ def image_by_skewing(p: Series, lam: Partition) -> Decomposition:
     return Decomposition(lam, "sp", terms)
 
 
-# Scaled minors of one table at a time (``cache.latest``).
+# Scaled images and minors of one table at a time (``cache.latest``).
 _table_minors: dict[EmbeddingTable, tuple] = cache.table("table_minors")
 
 
-def _table_state(table: EmbeddingTable) -> tuple[int, Callable, dict]:
-    """(L, n -> L^n times generator image n, empty memo of its minors) for
-    the table, where L is the lcm of the denominators of its entries.  The
-    scaled images are built once each."""
+def _table_state(table: EmbeddingTable) -> tuple[int, Callable, dict, Callable, dict]:
+    """(L, gen, memo, row, row_memo) for the table, where L is the lcm of the
+    denominators of its entries: gen(n) is L^n times generator image n,
+    row(n, max_deficit) is L^n times the image of the single row (n) cut at
+    that deficit, and the two empty memos hold the minors of determinants in
+    gen and in row.  The scaled images are built once each; the row images
+    share their minors with the other determinants in gen."""
     den, _ = _integers(table._m.values())
     scaled: dict[int, FormalSum] = {}
+    rows: dict[tuple, FormalSum] = {}
+    memo: dict = {}
 
     def gen(n: int) -> FormalSum:
         g = scaled.get(n)
@@ -304,7 +316,15 @@ def _table_state(table: EmbeddingTable) -> tuple[int, Callable, dict]:
             g = scaled[n] = table.generator_image(n).scaled(den**n)
         return g
 
-    return den, gen, {}
+    def row(n: int, max_deficit: int | None) -> FormalSum:
+        key = (n, max_deficit)
+        h = rows.get(key)
+        if h is None:
+            shape = Partition._trusted((n,)) if n else EMPTY
+            h = rows[key] = dual_jacobi_trudi(shape, gen, bcd_multiply, max_deficit, memo)
+        return h
+
+    return den, gen, memo, row, {}
 
 
 def image_from_table(
@@ -320,6 +340,14 @@ def image_from_table(
     coefficients, gen(n) = L^n times image n, and shares its minors with
     every earlier call on the same table; the result is divided by
     L^{|lam|}, the weight of the full matrix.
+
+    A truncated image of a shape with fewer rows than columns is the
+    Jacobi-Trudi determinant det(h_{lam_i - i + j}) instead, of side len(lam)
+    rather than lam_1, in the scaled row images h_n, each a Hessenberg
+    determinant in gen cut at the same deficit; it has the same weight, so
+    the same division.  Only truncated images take this side: a row image
+    cut at deficit d holds at most d + 1 degrees, while a full one holds
+    every degree and costs more than the smaller determinant saves.
     """
     lam_t = lam.transpose()
     need = (lam_t.part(0) + len(lam_t) - 1) if len(lam_t) else 0
@@ -327,8 +355,13 @@ def image_from_table(
         raise CutoffError(
             f"shape {lam} needs table entries through {need}, cutoff is {table.cutoff}"
         )
-    den, gen, memo = cache.latest(_table_minors, table, _table_state)
-    result = dual_jacobi_trudi(lam, gen, bcd_multiply, max_deficit=max_deficit, memo=memo)
+    den, gen, memo, row, row_memo = cache.latest(_table_minors, table, _table_state)
+    if max_deficit is not None and len(lam) < lam.part(0):
+        result = dual_jacobi_trudi(
+            lam_t, lambda n: row(n, max_deficit), bcd_multiply, max_deficit, row_memo
+        )
+    else:
+        result = dual_jacobi_trudi(lam, gen, bcd_multiply, max_deficit, memo)
     scale = den**lam.size
     terms = {mu: _normalize(Fraction(c, scale)) for mu, c in result.terms.items()}
     return Decomposition(lam, "sp", terms)

@@ -275,6 +275,13 @@ verify: 8/8 checks passed
             ["--prop", "oracle", "--max-size", "3", "--series", "1,1/2"],
             "oracle p=1,1/2 max-size=3: PASS\nverify: 1/1 checks passed\n",
         ),
+        (
+            ["--prop", "constant", "--d", "1", "--d", "3", "--k", "7", "--trials", "1",
+             "--seed", "0"],
+            "".join(f"constant d=1 k={k} trial=0: PASS\n" for k in range(3, 8))
+            + "".join(f"constant d=3 k={k} trial=0: PASS\n" for k in range(5, 8))
+            + "verify: 8/8 checks passed (seed 0)\n",
+        ),
     ],
 )
 def test_verify_full_output(args, stdout):
@@ -345,6 +352,23 @@ def test_scan_single_point():
     assert lines[1] == "coefficient of s[3,2,2,1,1]: 0"
     assert any(line.startswith("binding shape:") for line in lines)
     assert lines[-1] == "boundary b(a) = 0.300000 (3/10)"
+
+
+def test_scan_degree_zero_full_output():
+    # The empty shape prints as s[] on both the per-degree and binding lines.
+    proc = run_cli("scan", "--a", "1/4", "--b", "3/10", "--degree", "0")
+    assert proc.stdout == (
+        "a = 1/4  b = 3/10  degree = 0\n"
+        "coefficient of s[3,2,2,1,1]: n/a (degree < 9)\n"
+        "coefficients of s[2^t,1^t]: \n"
+        "deg 0 min: 1 at s[]\n"
+        "binding shape: s[] coeff 1\n"
+        "boundary b(a) = 0.300000 (3/10)\n"
+    )
+    assert proc.stderr == ""
+    # The JSON and CSV min_shape keep the text form of a partition.
+    proc = run_cli("scan", "--a", "1/4", "--b", "3/10", "--degree", "0", "--json")
+    assert json.loads(proc.stdout)["min_shape"] == "-"
 
 
 def test_scan_trivial_point_nonnegative():

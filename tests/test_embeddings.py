@@ -145,6 +145,35 @@ def test_image_from_table_matches_leibniz_oracle():
             assert got.as_sum() == expected, (lam, deficit)
 
 
+# Wide shapes beyond the reach of the Leibniz oracle, each right after its
+# conjugate, whose column-side minors have the same keys as the wide
+# shape's row-side ones; then smaller shapes of both kinds.
+SHORT_SIDE_SHAPES = [
+    Partition(parts)
+    for parts in (
+        (2, 2, 2), (3, 3), (3, 3, 3, 3, 3, 3), (6, 6, 6), (2,) * 9, (9, 9),
+        (1,) * 11, (11,), (4, 2, 1), (5, 3), (2, 2, 1, 1, 1), (7, 1),
+    )
+]
+
+
+def test_truncated_image_from_table_matches_fresh_determinant():
+    # Truncated images go through the row side when the shape has fewer
+    # rows than columns; hold every one against the column-side determinant
+    # on the unscaled generator images, from an empty memo.  Each table's
+    # state serves all shapes, and for d > 1 two deficits, so that the row
+    # images of one deficit and the minors of the other side are in its
+    # memos.
+    for seed, d in ((41, 1), (42, 2), (43, 3)):
+        table = random_table(12, d, random.Random(seed))
+        assert len({Fraction(v).denominator for _, _, v in table.to_json()["m"]}) > 2
+        for deficit in sorted({1, d}, reverse=d % 2 == 0):
+            for lam in SHORT_SIDE_SHAPES:
+                expected = dual_jacobi_trudi(lam, table.generator_image, bcd_multiply, deficit)
+                got = image_from_table(table, lam, max_deficit=deficit)
+                assert got.as_sum() == expected, (seed, lam, deficit)
+
+
 def test_image_from_table_state_follows_the_table():
     table = random_table(8, 1, random.Random(31))
     copy = EmbeddingTable.from_json(json.loads(json.dumps(table.to_json())))
