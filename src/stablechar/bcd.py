@@ -16,10 +16,11 @@ one order-free dict before it looks up any s_beta * s_gamma.  Given a degree
 floor from ``bcd_multiply(..., min_degree)`` it sums only the alpha that
 reach the floor.
 
-The memo tables live in :mod:`cache`: ``nl`` holds full basis products and
-can be persisted; ``nl_truncated`` holds products cut below a floor and is
-never written to disk.  A cached full product also answers truncated
-requests.
+The memo tables live in :mod:`cache`, keyed by the parts tuples of the two
+factors and holding ``{parts: int}`` entries: ``nl`` holds full basis
+products and can be persisted; ``nl_truncated`` holds products cut below a
+floor and is never written to disk.  A cached full product also answers
+truncated requests.
 
 The constants are invariant under conjugating all three shapes,
 N^lam_{mu,nu} = N^{lam'}_{mu',nu'}, and conjugation keeps |alpha|.  So on a
@@ -35,10 +36,11 @@ from .partitions import Partition, subpartitions
 from .schur import (
     BasisMismatchError,
     FormalSum,
-    _Accumulator,
     _bilinear,
     _conjugate,
+    _pair_products,
     _schur_basis_product,
+    _skew,
     _transposed,
     lr_coefficient,
     skew_expand,
@@ -46,35 +48,35 @@ from .schur import (
 
 __all__ = ["newell_littlewood", "bcd_multiply"]
 
-_nl_cache: dict[tuple, dict[Partition, int]] = cache.table("nl")
+_nl_cache: dict[tuple, dict[tuple, int]] = cache.table("nl")
 # Products truncated below a degree floor, keyed (mu, nu, largest |alpha|);
 # never persisted, since ``nl`` holds full products only.
-_nl_truncated_cache: dict[tuple, dict[Partition, int]] = cache.table("nl_truncated")
+_nl_truncated_cache: dict[tuple, dict[tuple, int]] = cache.table("nl_truncated")
 
 
-def _meet(mu: Partition, nu: Partition) -> Partition:
-    return Partition._trusted(tuple(map(min, mu.parts, nu.parts)))
+def _meet(mu, nu) -> Partition:
+    """The largest shape inside both, for two partitions or two parts tuples."""
+    return Partition._trusted(tuple(map(min, mu, nu)))
 
 
-def _nl_order(mu: Partition, nu: Partition) -> tuple[Partition, Partition]:
+def _nl_order(mu: tuple, nu: tuple) -> tuple[tuple, tuple]:
     """The factors of sp_mu * sp_nu in memo-key order."""
-    return (nu, mu) if mu.parts > nu.parts else (mu, nu)
+    return (nu, mu) if mu > nu else (mu, nu)
 
 
-def _nl_basis_product(
-    mu: Partition, nu: Partition, min_degree: int | None = None
-) -> dict[Partition, int]:
-    """sp_mu * sp_nu, or at least its terms of degree >= ``min_degree``.
+def _nl_basis_product(mu: tuple, nu: tuple, min_degree: int | None = None) -> dict[tuple, int]:
+    """sp_mu * sp_nu for nonempty parts mu and nu, or at least its terms of
+    degree >= ``min_degree``, as a memo entry.
 
     A term of degree |mu| + |nu| - 2|alpha| comes from alpha alone, so a
     floor bounds |alpha|.  The (beta, gamma) pairs of every alpha are merged
     into one order-free dict before any s_beta * s_gamma is looked up.
     """
     mu, nu = _nl_order(mu, nu)
-    key = (mu.parts, nu.parts)
+    key = (mu, nu)
     cached = _nl_cache.get(key)
     if cached is None and min_degree is not None:
-        top = (mu.size + nu.size - min_degree) // 2  # largest |alpha| that counts
+        top = (sum(mu) + sum(nu) - min_degree) // 2  # largest |alpha| that counts
         cached = _nl_truncated_cache.get(key + (top,))
     if cached is not None:
         return cached
@@ -85,35 +87,24 @@ def _nl_basis_product(
         key, memo = key + (top,), _nl_truncated_cache
     # Conjugating mu, nu and alpha keeps |alpha|: the conjugate pair's full
     # product, or its product truncated at the same |alpha|, has the terms.
-    mu_t, nu_t = _nl_order(_conjugate(mu.parts), _conjugate(nu.parts))
-    key_t = (mu_t.parts, nu_t.parts)
+    key_t = _nl_order(_conjugate(mu), _conjugate(nu))
     conjugate = _nl_cache.get(key_t)
     if conjugate is None and memo is _nl_truncated_cache:
         conjugate = memo.get(key_t + (top,))
     if conjugate is not None:
-        out = memo[key] = _transposed(conjugate, mu.size + nu.size - 2 * top)
+        out = memo[key] = _transposed(conjugate, sum(mu) + sum(nu) - 2 * top)
         return out
     pairs: dict[tuple, int] = {}
-    shapes: dict[tuple, Partition] = {}
     for alpha in subpartitions(meet):
         if alpha.size > top:
             continue
-        left = skew_expand(mu, alpha).terms
-        right = skew_expand(nu, alpha).terms
-        for shape in (*left, *right):
-            shapes[shape.parts] = shape
-        for beta, cb in left.items():
-            for gamma, cg in right.items():
-                b, g = beta.parts, gamma.parts
+        left = _skew(mu, alpha.parts)
+        right = _skew(nu, alpha.parts).items()
+        for b, cb in left.items():
+            for g, cg in right:
                 pair = (b, g) if b <= g else (g, b)
                 pairs[pair] = pairs.get(pair, 0) + cb * cg
-    total = _Accumulator()
-    for (b, g), factor in pairs.items():
-        # () sorts first, so only the first shape of a pair can be empty.
-        products = _schur_basis_product(shapes[b], shapes[g]) if b else {shapes[g]: 1}
-        total.add(products.items(), factor)
-    out = total.terms()
-    memo[key] = out
+    out = memo[key] = _pair_products(pairs, _schur_basis_product)
     return out
 
 

@@ -13,6 +13,11 @@ one for those in its row images, since a memo serves one family of
 entries.  A caller keeps the state it fetched, whose memos are still only
 ever inserted into.
 
+The kernel tables (``skew``, ``product``, ``nl``, ``nl_truncated``) are
+keyed by the parts tuples of their two shapes and hold ``{parts: int}``
+entries; ``Partition`` objects are made only for returned sums, from the
+``shapes`` table (parts to one shared ``Partition``, see :mod:`schur`).
+
 Pointing the ``STABLECHAR_CACHE_DIR`` environment variable at a directory
 makes the command line load the ``PERSISTED`` tables on startup and write
 them back on exit (atomic rename, single writer) as plain JSON.  ``load``
@@ -20,12 +25,13 @@ treats the file as untrusted: it checks every entry and drops a bad table
 whole.  ``save`` leaves the file alone when it already holds every entry,
 that is when no persisted table grew since a clean ``load`` of it.  Only
 full products persist; the ``nl_truncated`` table of products cut below a
-degree floor stays in memory, and so do the ``minors`` and ``table_minors``
-tables and the ``conjugate`` table (parts of a shape to its conjugate
-``Partition``) that the kernels use to answer a miss from the entry of the
-conjugate shapes.
-Such a derived entry is stored under the key that was asked for, so the
-file holds the same keys as it would without it.
+degree floor stays in memory, and so do the ``minors``, ``table_minors``
+and ``shapes`` tables and the ``conjugate`` table (parts of a shape to the
+parts of its conjugate) that the kernels use to answer a miss from the
+entry of the conjugate shapes.  Such a derived entry is stored under the
+key that was asked for, so the file holds the same keys as it would
+without it.  The file writes partitions as text, so its schema does not
+depend on how the tables key their entries in memory.
 """
 
 from __future__ import annotations
@@ -91,7 +97,7 @@ def _encode_partition(parts: tuple) -> str:
 def _encode_table(memo: dict) -> dict:
     return {
         "|".join(_encode_partition(k) for k in key): {
-            _encode_partition(lam.parts): c for lam, c in value.items()
+            _encode_partition(parts): c for parts, c in value.items()
         }
         for key, value in memo.items()
     }
@@ -102,12 +108,13 @@ def _decode_table(name: str, data) -> dict:
     if not isinstance(data, dict):
         raise ValueError("not a JSON object")
     size_ok = _SIZE_RULES[name]
-    seen: dict[str, tuple[Partition, int]] = {}
+    seen: dict[str, tuple[tuple, int]] = {}
 
-    def partition(text: str) -> tuple[Partition, int]:
+    def partition(text: str) -> tuple[tuple, int]:
+        """(parts, size) of a valid partition's text; ValueError otherwise."""
         if text not in seen:
             lam = Partition(int(p) for p in text.split(",")) if text else EMPTY
-            seen[text] = (lam, lam.size)
+            seen[text] = (lam.parts, lam.size)
         return seen[text]
 
     out = {}
@@ -116,15 +123,15 @@ def _decode_table(name: str, data) -> dict:
             (first, s1), (second, s2) = map(partition, key.split("|"))
             entry = {}
             for text, c in value.items():
-                lam, size = partition(text)
+                parts, size = partition(text)
                 if type(c) is not int or c <= 0 or not size_ok(size, s1, s2):
                     raise ValueError
-                entry[lam] = c
+                entry[parts] = c
             if not entry:  # no stored product or skew expansion is zero
                 raise ValueError
         except (ValueError, AttributeError):
             raise ValueError(f"bad entry {key!r}") from None
-        out[(first.parts, second.parts)] = entry
+        out[(first, second)] = entry
     return out
 
 

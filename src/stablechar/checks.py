@@ -21,7 +21,7 @@ from .embeddings import (
 )
 from .kr import quadratic_identity_check, rectangle_check
 from .partitions import partitions_through
-from .schur import FormalSum, schur_multiply
+from .schur import FormalSum, _combination, schur_multiply
 
 
 def _rectangles(bound: int):
@@ -78,10 +78,8 @@ def ringhom(series, bound: int):
 
 def _respects_product(images, mu, nu) -> bool:
     product = schur_multiply(FormalSum.single("schur", mu), FormalSum.single("schur", nu))
-    lhs = FormalSum.zero("sp")
-    for lam, c in product.terms.items():
-        lhs = lhs + images[lam].scaled(c)
-    return lhs == bcd_multiply(images[mu], images[nu])
+    lhs = _combination((c, images[lam]) for lam, c in product.terms.items())
+    return lhs == bcd_multiply(images[mu], images[nu]).terms
 
 
 def identities(prop: str, tables, k: int):

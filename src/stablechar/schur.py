@@ -11,13 +11,21 @@ test suite:
   successive horizontal strips, one strip per row of the second shape,
   keeping the prefix condition that makes the combined filling a lattice
   filling.  The strips are added level by level, and partial fillings that
-  agree on the shape and on the last strip's prefix are merged and extended
-  once.
+  agree on the shape and on the last strip's prefix, clamped to the length
+  of the next strip, are merged and extended once.
 
-``schur_multiply`` and ``bcd.bcd_multiply`` share one bilinear accumulator
-that scales both operands to integer coefficients, adds ints, and divides
-once per output term; the minors of ``dual_jacobi_trudi`` are summed the
-same way.
+Every kernel works on parts tuples: the memo entries are ``{parts: int}``
+dicts and the sums are taken on those keys, so hashing and equality stay
+in C.  ``schur_multiply`` and ``bcd.bcd_multiply`` share one bilinear
+accumulation that scales both operands to integer coefficients, merges
+(mu, nu) and (nu, mu) into one unordered pair before any basis product is
+looked up, adds ints, and divides once per output term; the minors of
+``dual_jacobi_trudi`` and the kernel slices of ``series.kappa_expansion``
+are summed the same way.  ``Partition`` objects are built only for the
+``FormalSum`` a public function returns, and each comes from the in-memory
+``shapes`` table (parts to one shared ``Partition``), so equal keys of two
+returned sums are usually the same object and a dict lookup stops at the
+identity check instead of calling ``Partition.__eq__``.
 
 Littlewood-Richardson coefficients are invariant under conjugating all
 three shapes, c^lam_{mu,nu} = c^{lam'}_{mu',nu'}.  So a memo miss first
@@ -39,7 +47,8 @@ floor is well defined).
 The memo tables of skew expansions and basis products (``skew`` and
 ``product``) live in :mod:`cache`, which can persist them; a derived entry
 is stored under its own key like any other.  The ``conjugate`` table maps
-the parts of a shape to its conjugate ``Partition`` and is never persisted.
+the parts of a shape to the parts of its conjugate; it and ``shapes`` are
+never persisted.
 """
 
 from __future__ import annotations
@@ -251,33 +260,41 @@ class FormalSum:
 # Lattice fillings of a fixed skew shape.
 # ---------------------------------------------------------------------------
 
-_skew_cache: dict[tuple, dict[Partition, int]] = cache.table("skew")
-_product_cache: dict[tuple, dict[Partition, int]] = cache.table("product")
-_conjugate_cache: dict[tuple, Partition] = cache.table("conjugate")
+_skew_cache: dict[tuple, dict[tuple, int]] = cache.table("skew")
+_product_cache: dict[tuple, dict[tuple, int]] = cache.table("product")
+_conjugate_cache: dict[tuple, tuple] = cache.table("conjugate")
+_shapes: dict[tuple, Partition] = cache.table("shapes")
 
 
-def _conjugate(parts: tuple) -> Partition:
-    """The conjugate of the partition with these parts."""
-    got = _conjugate_cache.get(parts)
+def _shape(parts: tuple) -> Partition:
+    """The one ``Partition`` the kernels hand out for these parts."""
+    got = _shapes.get(parts)
     if got is None:
-        got = _conjugate_cache[parts] = Partition._trusted(parts).transpose()
+        got = _shapes[parts] = Partition._trusted(parts)
     return got
 
 
-def _transposed(terms: dict[Partition, int], least: int = 0) -> dict[Partition, int]:
+def _conjugate(parts: tuple) -> tuple:
+    """The parts of the conjugate of the partition with these parts."""
+    got = _conjugate_cache.get(parts)
+    if got is None:
+        got = _conjugate_cache[parts] = Partition._trusted(parts).transpose().parts
+    return got
+
+
+def _transposed(terms: dict[tuple, int], least: int = 0) -> dict[tuple, int]:
     """A memo entry's terms of degree >= ``least``, every shape conjugated."""
-    return {_conjugate(lam.parts): c for lam, c in terms.items() if lam.size >= least}
+    return {_conjugate(t): c for t, c in terms.items() if not least or sum(t) >= least}
 
 
-def _lattice_fillings(lam: Partition, mu: Partition) -> dict[tuple, int]:
+def _lattice_fillings(lamp: tuple, mup: tuple) -> dict[tuple, int]:
     """Count column-strict lattice fillings of lam/mu by their content.
 
     Cells are visited in reverse reading order so the lattice condition can
     be enforced as each entry is placed.
     """
-    lamp = lam.parts
     nrows = len(lamp)
-    mup = [mu.part(i) for i in range(nrows)]
+    mup = mup + (0,) * (nrows - len(mup))
     counts = [0] * nrows  # entry values never exceed the row index + 1
     tally: dict[tuple, int] = {}
 
@@ -324,23 +341,27 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return skew_expand(lam, mu).coefficient(nu)
 
 
+def _skew(lam: tuple, mu: tuple) -> dict[tuple, int]:
+    """The memo entry of lam/mu, for mu inside lam."""
+    key = (lam, mu)
+    cached = _skew_cache.get(key)
+    if cached is None:
+        conjugate = _skew_cache.get((_conjugate(lam), _conjugate(mu)))
+        if conjugate is not None:
+            cached = _transposed(conjugate)
+        else:
+            cached = _lattice_fillings(lam, mu)
+        _skew_cache[key] = cached
+    return cached
+
+
 def skew_expand(lam: Partition, mu: Partition) -> FormalSum:
     """Schur expansion of the skew shape lam/mu (zero if mu is not inside)."""
     if not lam.contains(mu):
         return FormalSum.zero("schur")
-    key = (lam.parts, mu.parts)
-    cached = _skew_cache.get(key)
-    if cached is None:
-        conjugate = _skew_cache.get(
-            (_conjugate(lam.parts).parts, _conjugate(mu.parts).parts)
-        )
-        if conjugate is not None:
-            cached = _transposed(conjugate)
-        else:
-            raw = _lattice_fillings(lam, mu)
-            cached = {Partition._trusted(t): c for t, c in raw.items()}
-        _skew_cache[key] = cached
-    return FormalSum._raw("schur", dict(cached))
+    return FormalSum._raw(
+        "schur", {_shape(t): c for t, c in _skew(lam.parts, mu.parts).items()}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +380,27 @@ def _strip_product(base_parts: tuple, content_parts: tuple) -> dict[tuple, int]:
     keys on the shape alone.  A strip can put at most ``shape[r]`` cells in
     the rows below row r, so row r takes at least ``remaining - shape[r]``
     cells and no branch runs out of room.
+
+    Strip t+1 holds content[t+1] <= content[t] cells, so a prefix count of
+    strip t bounds it only while the count is below content[t+1].  The
+    prefix counts, and the padding past the last row strip t reaches, are
+    therefore stored clamped to content[t+1]: states that differ only above
+    it are merged.
     """
     states: dict = {(base_parts, None): 1}
     last = len(content_parts) - 1
     for t, need in enumerate(content_parts):
         merged: dict = {}
         final = t == last
+        clamp = 0 if final else content_parts[t + 1]
         for (base, prev), count in states.items():
             basez = base + (0,)
             if prev is None:  # row 0 of the content: no prefix condition
                 prev = (need,) * len(basez)
 
             # new: rows 0..r-1 of the grown shape; prefix[i]: strip cells in
-            # rows 0..i-1.  Rows with a single choice are taken in the loop.
+            # rows 0..i-1, clamped.  Rows with a single choice are taken in
+            # the loop.
             def rows(r: int, remaining: int, cum: int, new: tuple, prefix: tuple) -> None:
                 while remaining:
                     here = basez[r]
@@ -384,18 +413,21 @@ def _strip_product(base_parts: tuple, content_parts: tuple) -> dict[tuple, int]:
                     if cap != least:
                         for a in range(cap, least - 1, -1):
                             c = cum + a
-                            rows(r + 1, remaining - a, c, new + (here + a,), prefix + (c,))
+                            # The last level keys on the shape alone.
+                            after = prefix if final else prefix + (c if c < clamp else clamp,)
+                            rows(r + 1, remaining - a, c, new + (here + a,), after)
                         return
                     cum += cap
                     remaining -= cap
                     new += (here + cap,)
-                    prefix += (cum,)
+                    if not final:
+                        prefix += (cum if cum < clamp else clamp,)
                     r += 1
                 shape = new + base[r:]
                 if final:
                     merged[shape] = merged.get(shape, 0) + count
                 else:
-                    key = (shape, prefix + (need,) * (len(shape) - r))
+                    key = (shape, prefix + (clamp,) * (len(shape) - r))
                     merged[key] = merged.get(key, 0) + count
 
             rows(0, need, 0, (), (0,))
@@ -403,65 +435,53 @@ def _strip_product(base_parts: tuple, content_parts: tuple) -> dict[tuple, int]:
     return states
 
 
-def _product_order(mu: Partition, nu: Partition) -> tuple[Partition, Partition]:
+def _product_order(mu: tuple, nu: tuple) -> tuple[tuple, tuple]:
     """(base, content) of s_mu * s_nu: the strip recursion branches over
     rows of the content, so the content is the factor with fewer rows.  The
     parts break ties, so that both orders of a pair give one memo key."""
-    if (len(nu), nu.size, nu.parts) > (len(mu), mu.size, mu.parts):
+    if (len(nu), sum(nu), nu) > (len(mu), sum(mu), mu):
         return nu, mu
     return mu, nu
 
 
-def _schur_basis_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
+def _schur_basis_product(mu: tuple, nu: tuple) -> dict[tuple, int]:
+    """s_mu * s_nu for nonempty parts mu and nu, as a memo entry."""
     mu, nu = _product_order(mu, nu)
-    key = (mu.parts, nu.parts)
+    key = (mu, nu)
     cached = _product_cache.get(key)
     if cached is None:
-        mu_t, nu_t = _product_order(_conjugate(mu.parts), _conjugate(nu.parts))
-        conjugate = _product_cache.get((mu_t.parts, nu_t.parts))
+        mu_t, nu_t = _product_order(_conjugate(mu), _conjugate(nu))
+        conjugate = _product_cache.get((mu_t, nu_t))
         if conjugate is not None:
             cached = _transposed(conjugate)
         elif len(nu_t) < len(nu):  # the conjugate pair has the shorter content
-            raw = _strip_product(mu_t.parts, nu_t.parts)
-            cached = {_conjugate(t): c for t, c in raw.items()}
+            cached = _transposed(_strip_product(mu_t, nu_t))
         else:
-            raw = _strip_product(mu.parts, nu.parts)
-            cached = {Partition._trusted(t): c for t, c in raw.items()}
+            cached = _strip_product(mu, nu)
         _product_cache[key] = cached
     return cached
 
 
-class _Accumulator:
-    """Integer multiples of basis-indexed dicts, summed on the parts tuples
-    (which keeps the hashing in C) and divided by a common denominator once
-    at the end."""
+def _accumulate(acc: dict[tuple, int], items, factor: int, min_degree: int | None = None) -> None:
+    """Add factor * mult into ``acc`` for each (parts, mult) of degree >=
+    min_degree.  Summing on parts tuples keeps the hashing in C; the sums
+    are divided by a common denominator once, by ``_terms``."""
+    get = acc.get
+    if min_degree is None:
+        for key, mult in items:
+            acc[key] = get(key, 0) + factor * mult
+    else:
+        for key, mult in items:
+            if sum(key) >= min_degree:
+                acc[key] = get(key, 0) + factor * mult
 
-    __slots__ = ("acc", "shapes")
 
-    def __init__(self):
-        self.acc: dict[tuple, int] = {}
-        self.shapes: dict[tuple, Partition] = {}
-
-    def add(self, items, factor: int, min_degree: int | None = None) -> None:
-        """Add factor * mult for each (lam, mult) of degree >= min_degree."""
-        acc = self.acc
-        for lam, mult in items:
-            if min_degree is not None and lam.size < min_degree:
-                continue
-            key = lam.parts
-            cur = acc.get(key)
-            if cur is None:
-                acc[key] = factor * mult
-                self.shapes[key] = lam
-            else:
-                acc[key] = cur + factor * mult
-
-    def terms(self, den: int = 1) -> dict:
-        """The nonzero sums, each divided by ``den``."""
-        shapes = self.shapes
-        if den == 1:
-            return {shapes[key]: c for key, c in self.acc.items() if c}
-        return {shapes[key]: _normalize(Fraction(c, den)) for key, c in self.acc.items() if c}
+def _terms(acc: dict[tuple, int], den: int = 1) -> dict[Partition, object]:
+    """The nonzero sums of ``acc``, each divided by ``den``, keyed by the
+    shared ``Partition`` of each shape."""
+    if den == 1:
+        return {_shape(key): c for key, c in acc.items() if c}
+    return {_shape(key): _normalize(Fraction(c, den)) for key, c in acc.items() if c}
 
 
 def _combination(pairs) -> dict:
@@ -470,36 +490,55 @@ def _combination(pairs) -> dict:
     den = 1
     for _, d, _, _ in scaled:
         den = lcm(den, d)
-    total = _Accumulator()
+    acc: dict[tuple, int] = {}
     for c, d, ints, terms in scaled:
-        total.add(zip(terms, ints), c * (den // d))
-    return total.terms(den)
+        _accumulate(acc, zip([lam.parts for lam in terms], ints), c * (den // d))
+    return _terms(acc, den)
+
+
+def _pair_products(pairs: dict, basis_product, min_degree: int | None = None) -> dict[tuple, int]:
+    """The sum of factor * basis_product(p, q) over ``{(p, q): factor}``.
+
+    Each pair is unordered, stored with p <= q, so () can only come first;
+    a product with the empty shape is the other factor.  With ``min_degree``
+    set, ``basis_product`` gets the floor as a third argument and terms
+    below it are dropped.
+    """
+    acc: dict[tuple, int] = {}
+    for (p, q), factor in pairs.items():
+        if not factor:
+            continue
+        if not p:
+            products = {q: 1}
+        elif min_degree is None:
+            products = basis_product(p, q)
+        else:
+            products = basis_product(p, q, min_degree)
+        _accumulate(acc, products.items(), factor, min_degree)
+    return acc
 
 
 def _bilinear(a: FormalSum, b: FormalSum, basis_product, min_degree: int | None = None) -> dict:
-    """Terms of the bilinear extension of ``basis_product`` to a and b.
+    """Terms of the bilinear extension of a commutative ``basis_product``.
 
-    Both operands are scaled to integer coefficients first, so the inner
-    loop adds ints; each output coefficient is divided once at the end.
-    With ``min_degree`` set, terms of lower degree are dropped and
-    ``basis_product`` is called with the floor as a third argument.
+    Both operands are scaled to integer coefficients first, and (mu, nu)
+    and (nu, mu) are merged into one pair before any basis product is
+    looked up, so the inner loop adds ints; each output coefficient is
+    divided once at the end.  With ``min_degree`` set, pairs and terms of
+    lower degree are dropped.
     """
     den_a, coeffs_a = _integers(a.terms.values())
     den_b, coeffs_b = _integers(b.terms.values())
-    terms_b = list(zip(b.terms, coeffs_b))
-    total = _Accumulator()
+    terms_b = [(nu.parts, nu.size, cn) for nu, cn in zip(b.terms, coeffs_b)]
+    pairs: dict[tuple, int] = {}
     for mu, cm in zip(a.terms, coeffs_a):
-        for nu, cn in terms_b:
-            if min_degree is not None and mu.size + nu.size < min_degree:
+        p, size = mu.parts, mu.size
+        for q, nu_size, cn in terms_b:
+            if min_degree is not None and size + nu_size < min_degree:
                 continue
-            if mu.is_empty or nu.is_empty:
-                products = {nu if mu.is_empty else mu: 1}
-            elif min_degree is None:
-                products = basis_product(mu, nu)
-            else:
-                products = basis_product(mu, nu, min_degree)
-            total.add(products.items(), cm * cn, min_degree)
-    return total.terms(den_a * den_b)
+            pair = (p, q) if p <= q else (q, p)
+            pairs[pair] = pairs.get(pair, 0) + cm * cn
+    return _terms(_pair_products(pairs, basis_product, min_degree), den_a * den_b)
 
 
 def schur_multiply(a: FormalSum, b: FormalSum) -> FormalSum:

@@ -10,7 +10,8 @@ The kappa kernel of p is  prod_i p(x_i) / prod_{i<j} (1 - x_i x_j).  Its
 numerator expands in the Schur basis with coefficient of s_lam equal to the
 determinant det(a_{lam_i - i + j}); the denominator contributes the classical
 sum of s_lam over shapes with all column heights even.  ``kappa_expansion``
-multiplies the two factors degree by degree.
+multiplies the two factors degree by degree, each degree one integer sum of
+the scaled minors below times the even-column shapes, divided once.
 
 Every kernel coefficient is a skew Jacobi-Trudi determinant
 D(u, v) = det(a_{u_i - v_j - i + j}), evaluated by ``_det``: Laplace
@@ -31,8 +32,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import cache
-from .partitions import EMPTY, Partition, partitions_of
-from .schur import FormalSum, _integers, schur_multiply
+from .partitions import EMPTY, Partition, _partitions_tuples, partitions_of
+from .schur import FormalSum, _conjugate, _integers, _pair_products, _schur_basis_product, _terms
 
 __all__ = [
     "Series",
@@ -304,34 +305,42 @@ def product_expansion(p: Series, cutoff: int) -> KappaExpansion:
     return KappaExpansion(cutoff, graded)
 
 
-def even_column_slice(degree: int) -> FormalSum:
-    """Sum of s_lam over shapes of the given size with all columns even."""
-    terms = {}
-    if degree % 2 == 0:
-        for mu in partitions_of(degree // 2):
-            terms[Partition._trusted(tuple(2 * p for p in mu.parts)).transpose()] = 1
-    return FormalSum("schur", terms)
-
-
 def kappa_expansion(p: Series, cutoff: int) -> KappaExpansion:
     """Expansion of the kappa kernel of p through total degree ``cutoff``.
 
-    Computed as the product expansion times the even-column sum, one graded
-    slice at a time.
+    The product expansion times the even-column sum, summed in integers one
+    degree d at a time.  Each scaled minor m_lam = L^{|lam|} det(a_{lam_i -
+    i + j}) (see ``_det``) meets each even-column shape eps of size
+    d - |lam| as one unordered pair (lam, eps) with factor m_lam L^{|eps|};
+    the products of the pairs go into one accumulator, divided once by L^d.
     """
-    prod = product_expansion(p, cutoff)
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    # Every coefficient through the cutoff enters; a truncated series fails
+    # on the first missing one, as ``product_expansion`` does.
+    p.coeff(min(cutoff, p.order + 1))
+    den, scaled, memo = cache.latest(_minors, p, _minor_state)
+    minors = [
+        [(u, m) for u in _partitions_tuples(d, d) if (m := _minor(u, (), scaled, memo))]
+        for d in range(cutoff + 1)
+    ]
+    # The even-column shapes of size 2h: the conjugates of the doubled
+    # partitions of h.
+    evens = [
+        [_conjugate(tuple(2 * p for p in mu)) for mu in _partitions_tuples(h, h)]
+        for h in range(cutoff // 2 + 1)
+    ]
     graded = {}
     for d in range(cutoff + 1):
-        acc = FormalSum.zero("schur")
-        for d1 in range(d + 1):
-            left = prod.graded[d1]
-            if left.is_zero:
-                continue
-            right = even_column_slice(d - d1)
-            if right.is_zero:
-                continue
-            acc = acc + schur_multiply(left, right)
-        graded[d] = acc
+        pairs: dict[tuple, int] = {}
+        for d1 in range(d % 2, d + 1, 2):
+            scale = den ** (d - d1)
+            for u, m in minors[d1]:
+                for eps in evens[(d - d1) // 2]:
+                    pair = (u, eps) if u <= eps else (eps, u)
+                    pairs[pair] = pairs.get(pair, 0) + m * scale
+        total = _pair_products(pairs, _schur_basis_product)
+        graded[d] = FormalSum._raw("schur", _terms(total, den**d))
     return KappaExpansion(cutoff, graded)
 
 

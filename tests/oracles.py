@@ -6,6 +6,11 @@ the Pieri rule, rectangle skews from the rotated-complement rule, and
 determinants from the Leibniz permutation expansion and from Bareiss
 elimination (the engine expands its Jacobi-Trudi determinants by minors,
 over numbers in ``series`` and over a ring in ``dual_jacobi_trudi``).
+
+``kappa_by_slices`` is the exception: it is the engine's former route to
+the kappa kernel, graded slices multiplied by ``schur_multiply`` and summed
+as ``FormalSum``s, kept to hold the integer sum of ``kappa_expansion``
+against.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from stablechar.partitions import Partition
+from stablechar.partitions import Partition, all_even_columns, partitions_of
+from stablechar.schur import FormalSum, schur_multiply
+from stablechar.series import KappaExpansion, product_expansion
 
 
 @lru_cache(maxsize=None)
@@ -178,3 +185,21 @@ def rectangle_complement(height: int, width: int, mu: Partition) -> Partition:
     """The 180-degree rotation of the complement of mu in an h x w box."""
     rows = [width - mu.part(height - 1 - i) for i in range(height)]
     return Partition(rows)
+
+
+def even_column_slice(degree: int) -> FormalSum:
+    """Sum of s_lam over shapes of the given size with all columns even."""
+    return FormalSum("schur", {lam: 1 for lam in partitions_of(degree) if all_even_columns(lam)})
+
+
+def kappa_by_slices(p, cutoff: int) -> KappaExpansion:
+    """The kappa kernel of p through ``cutoff``: slice d is the sum over
+    d1 <= d of product slice d1 times the even-column slice d - d1."""
+    prod = product_expansion(p, cutoff)
+    graded = {}
+    for d in range(cutoff + 1):
+        acc = FormalSum.zero("schur")
+        for d1 in range(d + 1):
+            acc = acc + schur_multiply(prod.graded[d1], even_column_slice(d - d1))
+        graded[d] = acc
+    return KappaExpansion(cutoff, graded)

@@ -138,8 +138,12 @@ def test_truncated_rational_products_match_full_products():
         for floor, product in truncated.items():
             assert product == full.restricted(min_degree=floor), floor
     assert cache.table("nl_truncated")
-    # Only full products reach the persisted table.
-    stored = {key: dict(value) for key, value in cache.table("nl").items()}
+    # Only full products reach the persisted table, whose entries are keyed
+    # by parts tuples.
+    stored = {
+        key: {Partition(t): c for t, c in value.items()}
+        for key, value in cache.table("nl").items()
+    }
     cache.clear_all()
     for (mp, np_), value in stored.items():
         mu, nu = Partition(mp), Partition(np_)
@@ -159,6 +163,23 @@ def _newell_littlewood_product(a, b, min_degree):
                 for lam in partitions_of(degree):
                     out[lam] = out.get(lam, 0) + cm * cn * newell_littlewood(lam, mu, nu)
     return FormalSum("sp", out)
+
+
+def test_products_where_swapped_pairs_cancel():
+    # a * b with a = x + y and b = x - y: the (x, y) and (y, x) terms cancel.
+    rng = random.Random(909)
+    pool = [lam for lam in partitions_through(4) if lam.size]
+    for _ in range(8):
+        x, y, z = rng.sample(pool, 3)
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        a = FormalSum("sp", {x: c, y: c, z: Fraction(2, 5)})
+        b = FormalSum("sp", {x: 1, y: -1, z: 3})
+        top = x.size + y.size + 2 * z.size
+        for floor in (0, top // 2, top - 2):
+            want = _newell_littlewood_product(a, b, floor)
+            assert bcd_multiply(a, b, min_degree=floor or None) == want, (x, y, z, floor)
+            assert bcd_multiply(b, a, min_degree=floor or None) == want, (x, y, z, floor)
+        cache.clear_all()
 
 
 def test_products_derived_from_conjugate_entries(monkeypatch):

@@ -9,7 +9,10 @@ import pytest
 
 import stablechar
 from stablechar import cache, checks, cli
+from stablechar.bcd import bcd_multiply
 from stablechar.embeddings import Decomposition
+from stablechar.partitions import Partition
+from stablechar.schur import FormalSum, schur_multiply, skew_expand
 
 # The child processes import the same copy of the package as this one.
 _SRC = str(Path(stablechar.__file__).resolve().parents[1])
@@ -474,6 +477,51 @@ def test_cache_persists_tables_and_reloads_them(tmp_path):
     assert cache.load(str(tmp_path)) == []
     for name in cache.PERSISTED:
         assert cache._encode_table(cache.table(name)) == data[name]
+
+
+# Written by ``verify --prop eqquad --max 2``, ``expand --multiply 3,1/2,2``
+# and ``expand --skew 4,2,1/2,1`` at commit de2cc14, when the memo entries
+# were keyed by ``Partition`` objects rather than parts tuples.
+PARTITION_KEYED_CACHE = Path(__file__).parent / "data" / "cache-partition-keyed.json"
+
+
+def _fresh_entry(name, first, second):
+    """A persisted table's entry, computed from empty memo tables."""
+    cache.clear_all()
+    one, two = Partition(first), Partition(second)
+    if name == "skew":
+        result = skew_expand(one, two)
+    elif name == "product":
+        result = schur_multiply(FormalSum.single("schur", one), FormalSum.single("schur", two))
+    else:
+        result = bcd_multiply(FormalSum.single("sp", one), FormalSum.single("sp", two))
+    return {lam.parts: c for lam, c in result.terms.items()}
+
+
+def test_cache_file_with_partition_keyed_entries_answers_identically(tmp_path):
+    original = PARTITION_KEYED_CACHE.read_bytes()
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "stablechar-cache.json").write_bytes(original)
+    assert cache.load(str(old)) == []
+    loaded = {name: dict(cache.table(name)) for name in cache.PERSISTED}
+    assert all(loaded.values())
+    # Saved again from the loaded tables, the file is the same bytes.
+    cache.save(str(tmp_path / "again"))
+    assert (tmp_path / "again" / "stablechar-cache.json").read_bytes() == original
+    for name, memo in loaded.items():
+        for (first, second), entry in memo.items():
+            assert entry == _fresh_entry(name, first, second), (name, first, second)
+    commands = [
+        ("verify", "--prop", "eqquad", "--max", "2"),
+        ("expand", "--multiply", "3,1/2,2"),
+        ("expand", "--skew", "4,2,1/2,1"),
+        ("expand", "--multiply", "2,2,1/2,1"),
+    ]
+    for args in commands:
+        warm = run_cli(*args, env_extra={"STABLECHAR_CACHE_DIR": str(old)})
+        cold = run_cli(*args, env_extra={"STABLECHAR_CACHE_DIR": str(tmp_path / "new")})
+        assert (warm.stdout, warm.stderr) == (cold.stdout, cold.stderr), args
 
 
 def test_cache_file_is_rewritten_only_when_it_changes(tmp_path):

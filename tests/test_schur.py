@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,47 @@ def test_schur_multiply_oracle_spot_checks_size_five():
     for mp, np_ in SPOT_CHECK_PAIRS:
         mu, nu = Partition(mp), Partition(np_)
         assert _product(mu, nu) == jt_product(mu, nu)
+
+
+def _random_partition(rng, rows, largest):
+    return tuple(sorted((rng.randint(1, largest) for _ in range(rows)), reverse=True))
+
+
+def test_strip_product_matches_oracle_on_deep_contents():
+    # Contents of 4 to 6 rows, where strip prefixes are clamped to the next
+    # row's length and states that differ only above it merge.
+    rng = random.Random(4646)
+    for _ in range(60):
+        content = _random_partition(rng, rng.randint(4, 6), 4)
+        base = _random_partition(rng, rng.randint(1, 4), 4)
+        got = schur._strip_product(base, content)
+        # The oracle expands its determinant over the rows of the base.
+        assert got == jt_product(Partition(content), Partition(base)), (base, content)
+
+
+def _pairwise_product(a, b, product):
+    """The bilinear extension of ``product``, one pair of terms at a time."""
+    out = FormalSum.zero(a.basis)
+    for mu, cm in a.terms.items():
+        for nu, cn in b.terms.items():
+            out = out + FormalSum(a.basis, product(mu, nu)).scaled(cm * cn)
+    return out
+
+
+def test_schur_multiply_where_swapped_pairs_cancel():
+    # a * b with a = x + y and b = x - y: the (x, y) and (y, x) terms cancel.
+    rng = random.Random(808)
+    pool = list(partitions_through(5))
+    for _ in range(10):
+        x, y, z = rng.sample(pool, 3)
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        a = FormalSum("schur", {x: c, y: c, z: 2})
+        b = FormalSum("schur", {x: 1, y: -1, z: Fraction(1, 3)})
+        oracle = _pairwise_product(
+            a, b, lambda mu, nu: {Partition(t): k for t, k in jt_product(mu, nu).items()}
+        )
+        assert schur_multiply(a, b) == oracle == schur_multiply(b, a), (x, y, z)
+        cache.clear_all()
 
 
 def _record_calls(monkeypatch, name):

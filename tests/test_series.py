@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import bareiss_det, leibniz_det
+from oracles import bareiss_det, kappa_by_slices, leibniz_det
 
 from stablechar import cache
 from stablechar.embeddings import kappa_coefficient
@@ -189,6 +189,41 @@ def test_kappa_littlewood_identities_small():
             for lam in partitions_of(d):
                 expected = 1 if predicate(lam) else 0
                 assert kappa.graded[d].coefficient(lam) == expected
+
+
+KAPPA_ORACLE_SERIES = [
+    Series.one(),
+    Series.geom2(14),
+    Series((1, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))),
+    # Quadratics 1 + b x + a x^2 at scan points (a, b).
+    Series((1, Fraction(3, 10), Fraction(1, 4))),
+    Series((1, Fraction(7, 5), 1)),
+    Series((1, Fraction(-1, 3), Fraction(-1, 2))),
+]
+
+
+@pytest.mark.parametrize("p", KAPPA_ORACLE_SERIES, ids=repr)
+def test_kappa_expansion_matches_slice_oracle(p):
+    got = kappa_expansion(p, 14)
+    cache.clear_all()
+    want = kappa_by_slices(p, 14)
+    assert got.cutoff == want.cutoff
+    assert got.graded == want.graded
+
+
+def test_kappa_expansion_truncation_matches_slice_oracle():
+    for order in range(6):
+        p = Series.geom(order)
+        for cutoff in range(order + 3):
+            outcomes = []
+            for route in (kappa_expansion, kappa_by_slices):
+                cache.clear_all()
+                try:
+                    outcomes.append(route(p, cutoff).graded)
+                except TruncationError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (order, cutoff)
+            assert isinstance(outcomes[0], str) == (cutoff > order)
 
 
 def test_kappa_expansion_requires_enough_coefficients():
