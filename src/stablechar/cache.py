@@ -3,15 +3,20 @@
 Every memo dict is created here by ``table(name)``; the modules bind theirs
 at import time and look entries up inline.  Entries are immutable and only
 ever inserted, so sharing the tables across threads is safe under the usual
-dict guarantees.  The exceptions are ``minors``, the determinant minors of
-:mod:`series`, and ``table_minors``, the dual Jacobi-Trudi minors of
-:mod:`embeddings`: each holds the state of a single owner, a series or an
-embedding table, and ``latest`` empties it when another owner arrives, so
-that its size stays that of one.  A ``table_minors`` state holds two memos
-of minors, one for the determinants in the table's generator images and
-one for those in its row images, since a memo serves one family of
-entries.  A caller keeps the state it fetched, whose memos are still only
-ever inserted into.
+dict guarantees.
+
+Two tables are owned instead, made by ``owned(name)``: ``minors`` holds the
+state of each :class:`~stablechar.series.Series` (its scaled coefficients,
+determinant minors and kappa coefficients), and ``table_minors`` that of
+each :class:`~stablechar.embeddings.EmbeddingTable` (its scaled generator
+and row images and two memos of dual Jacobi-Trudi minors, one for the
+determinants in each, since a memo serves one family of entries).  They
+are weak-keyed: ``latest`` finds the state of an owner, the same object or
+an equal one, or builds it, and the state lives exactly as long as some
+caller holds its owner, with no size bound.  So a state must not reference
+its owner, or the weak key never dies; it is built from the owner's values
+(coefficients or entries) alone.  The memos of a state are only ever
+inserted into, like the tables.
 
 The kernel tables (``skew``, ``product``, ``nl``, ``nl_truncated``) are
 keyed by the parts tuples of their two shapes and hold ``{parts: int}``
@@ -25,12 +30,12 @@ treats the file as untrusted: it checks every entry and drops a bad table
 whole.  ``save`` leaves the file alone when it already holds every entry,
 that is when no persisted table grew since a clean ``load`` of it.  Only
 full products persist; the ``nl_truncated`` table of products cut below a
-degree floor stays in memory, and so do the ``minors``, ``table_minors``
-and ``shapes`` tables and the ``conjugate`` table (parts of a shape to the
-parts of its conjugate) that the kernels use to answer a miss from the
-entry of the conjugate shapes.  Such a derived entry is stored under the
-key that was asked for, so the file holds the same keys as it would
-without it.  The file writes partitions as text, so its schema does not
+degree floor stays in memory, and so do the owned tables, the ``shapes``
+table, the ``w`` table of W characters (see :mod:`kr`) and the
+``conjugate`` table (parts of a shape to the parts of its conjugate) that
+the kernels use to answer a miss from the entry of the conjugate shapes.
+Such a derived entry is stored under the key that was asked for, so the
+file holds the same keys as it would without it.  The file writes partitions as text, so its schema does not
 depend on how the tables key their entries in memory.
 """
 
@@ -39,6 +44,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import weakref
 
 from .partitions import EMPTY, Partition
 
@@ -46,7 +52,7 @@ ENV_VAR = "STABLECHAR_CACHE_DIR"
 _FILENAME = "stablechar-cache.json"
 _SCHEMA = 1
 
-_TABLES: dict[str, dict] = {}
+_TABLES: dict[str, dict | weakref.WeakKeyDictionary] = {}
 
 # (file path, persisted table sizes) when that file is known to hold every
 # entry of the persisted tables; tables only grow until ``clear_all``.
@@ -66,15 +72,18 @@ def table(name: str) -> dict:
     return _TABLES.setdefault(name, {})
 
 
-def latest(memo: dict, owner, build):
-    """The state ``memo`` holds for ``owner`` (the same object or an equal
-    one), else ``build(owner)`` after emptying ``memo``: a one-owner table
-    keeps the state of the last owner only."""
-    for other, state in memo.items():
-        if other is owner or other == owner:
-            return state
-    memo.clear()
-    state = memo[owner] = build(owner)
+def owned(name: str) -> weakref.WeakKeyDictionary:
+    """The owned table called ``name``: states keyed weakly by their owners."""
+    return _TABLES.setdefault(name, weakref.WeakKeyDictionary())
+
+
+def latest(memo: weakref.WeakKeyDictionary, owner, build):
+    """The state the owned table ``memo`` holds for ``owner`` (the same
+    object or an equal one), else ``build(owner)``, stored for as long as
+    ``owner`` lives."""
+    state = memo.get(owner)
+    if state is None:
+        state = memo[owner] = build(owner)
     return state
 
 

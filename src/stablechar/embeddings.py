@@ -14,10 +14,10 @@ constructions are provided and used as mutual oracles:
   multiplication.  The images are scaled to integers first (the n-th times
   L^n, with L the lcm of the denominators of the table's entries), so every
   minor is an integer sum and a result is divided once, by L^{|lam|}.  The
-  minors are memoized for one table at a time in the memo table
-  ``table_minors`` of :mod:`cache`, keyed by their matrix, so that every
-  shape of the table shares them; a different table replaces the memo, and
-  it is never persisted.  A truncated image (``max_deficit`` set) of a
+  minors are memoized per table in the owned table ``table_minors`` of
+  :mod:`cache`, keyed by their matrix, so that every shape of the table
+  shares them; they are kept while the caller holds the table (or an equal
+  one) and never persisted.  A truncated image (``max_deficit`` set) of a
   shape with fewer rows than columns takes the short side instead: the
   Jacobi-Trudi determinant det(h_{lam_i - i + j}) (Macdonald I.(3.4)), of
   side len(lam) instead of lam_1, in the scaled images of the single rows
@@ -47,7 +47,7 @@ from .partitions import (
     subpartitions,
 )
 from .schur import FormalSum, _integers, _normalize, dual_jacobi_trudi, skew_expand
-from .series import Series, TruncationError, _det, dual, random_rational
+from .series import Series, TruncationError, _det, _state, dual, random_rational
 
 __all__ = [
     "CutoffError",
@@ -78,12 +78,14 @@ class EmbeddingTable:
     to the identity table (delta_{ij}).
     """
 
-    __slots__ = ("cutoff", "_m")
+    # Immutable after __init__; the weak reference keys its owned state.
+    __slots__ = ("cutoff", "_m", "_hash", "__weakref__")
 
     def __init__(self, cutoff: int, entries=None):
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
         self.cutoff = cutoff
+        self._hash = None
         self._m: dict[tuple[int, int], object] = {}
         for (i, j), value in (entries or {}).items():
             if not (0 <= j <= i <= cutoff):
@@ -107,8 +109,9 @@ class EmbeddingTable:
 
     def generator_image(self, k: int) -> FormalSum:
         """Image of the k-th elementary generator as an sp-basis sum."""
-        terms = {Partition._trusted((1,) * j): self.entry(k, j) for j in range(k + 1)}
-        return FormalSum("sp", terms)
+        if k > self.cutoff:
+            raise CutoffError(f"entry ({k},0) beyond cutoff {self.cutoff}")
+        return _generator_image(self._m, k)
 
     def constant_below(self, d: int) -> bool:
         """True iff m[i][j] depends only on i - j whenever i - j < d."""
@@ -176,10 +179,20 @@ class EmbeddingTable:
         )
 
     def __hash__(self) -> int:
-        return hash((self.cutoff, frozenset(self._m.items())))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.cutoff, frozenset(self._m.items())))
+        return h
 
     def __repr__(self) -> str:
         return f"EmbeddingTable(cutoff={self.cutoff}, {len(self._m)} off-diagonal entries)"
+
+
+def _generator_image(entries: dict, k: int) -> FormalSum:
+    """sp[1^k] + sum_j m[k][j] sp[1^j] from a table's off-diagonal entries."""
+    terms = {Partition._trusted((1,) * j): entries.get((k, j), 0) for j in range(k)}
+    terms[Partition._trusted((1,) * k)] = 1
+    return FormalSum("sp", terms)
 
 
 def table_from_series(p: Series, cutoff: int) -> EmbeddingTable:
@@ -245,9 +258,6 @@ class Decomposition:
         return cls(Partition.from_json(data["lambda"]), data["basis"], terms)
 
 
-_kappa_coeff_cache: dict[tuple, object] = cache.table("kappa")
-
-
 def kappa_coefficient(p: Series, mu: Partition):
     """Coefficient of s_mu in the kappa kernel of p.
 
@@ -255,18 +265,18 @@ def kappa_coefficient(p: Series, mu: Partition):
     Jacobi-Trudi determinants det(a_{mu_i - rho_j - i + j}) over the
     even-column subdiagrams rho of mu.  These are the shapes
     (s_1, s_1, s_2, s_2, ...) for s contained in (mu_2, mu_4, ...).
+    The coefficients are memoized in p's state (see ``series._state``).
     """
-    key = (p, mu.parts)
-    cached = _kappa_coeff_cache.get(key)
+    kappa = _state(p)[3]
+    parts = mu.parts
+    cached = kappa.get(parts)
     if cached is not None:
         return cached
-    parts = mu.parts
     total = 0
     for sigma in subpartitions(Partition._trusted(parts[1::2])):
         rho = tuple(r for s in sigma.parts for r in (s, s))
         total += _det(p, parts, rho)
-    total = _normalize(total)
-    _kappa_coeff_cache[key] = total
+    total = kappa[parts] = _normalize(total)
     return total
 
 
@@ -294,8 +304,7 @@ def image_by_skewing(p: Series, lam: Partition) -> Decomposition:
     return Decomposition(lam, "sp", terms)
 
 
-# Scaled images and minors of one table at a time (``cache.latest``).
-_table_minors: dict[EmbeddingTable, tuple] = cache.table("table_minors")
+_table_minors = cache.owned("table_minors")
 
 
 def _table_state(table: EmbeddingTable) -> tuple[int, Callable, dict, Callable, dict]:
@@ -304,8 +313,11 @@ def _table_state(table: EmbeddingTable) -> tuple[int, Callable, dict, Callable, 
     row(n, max_deficit) is L^n times the image of the single row (n) cut at
     that deficit, and the two empty memos hold the minors of determinants in
     gen and in row.  The scaled images are built once each; the row images
-    share their minors with the other determinants in gen."""
-    den, _ = _integers(table._m.values())
+    share their minors with the other determinants in gen.  The state reads
+    the table's entries but holds no reference to the table, its weak key
+    in ``table_minors``."""
+    entries = table._m
+    den, _ = _integers(entries.values())
     scaled: dict[int, FormalSum] = {}
     rows: dict[tuple, FormalSum] = {}
     memo: dict = {}
@@ -313,7 +325,7 @@ def _table_state(table: EmbeddingTable) -> tuple[int, Callable, dict, Callable, 
     def gen(n: int) -> FormalSum:
         g = scaled.get(n)
         if g is None:
-            g = scaled[n] = table.generator_image(n).scaled(den**n)
+            g = scaled[n] = _generator_image(entries, n).scaled(den**n)
         return g
 
     def row(n: int, max_deficit: int | None) -> FormalSum:

@@ -13,13 +13,16 @@ route of :func:`stablechar.embeddings.image_by_skewing` is its test oracle.
 On rectangles the decompositions match the classical domino-removal
 description, which ``rectangle_check`` verifies by computing both sides
 independently.  ``quadratic_identity_check`` tests the square-of-a-rectangle
-identity in the character ring.
+identity in the character ring; its W characters are memoized in the memo
+table ``w`` of :mod:`cache`, keyed by (rectangle parts, family), which
+lives only in memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import cache
 from .bcd import bcd_multiply
 from .embeddings import Decomposition
 from .partitions import Partition, all_even_columns, all_even_rows, subpartitions
@@ -133,8 +136,18 @@ class QuadraticIdentityReport:
     rhs: FormalSum
 
 
+_w_characters: dict[tuple, FormalSum] = cache.table("w")
+
+
 def _w_character(height: int, width: int, family: str) -> FormalSum:
-    return kr_decomposition(Partition([width] * height), family).as_sum()
+    """W of the height x width rectangle, shared by every caller; every
+    empty rectangle is the one key ((), family)."""
+    parts = (width,) * height if width else ()
+    key = (parts, family)
+    w = _w_characters.get(key)
+    if w is None:
+        w = _w_characters[key] = kr_decomposition(Partition(parts), family).as_sum()
+    return w
 
 
 def quadratic_identity_check(height: int, width: int, family: str) -> QuadraticIdentityReport:

@@ -19,9 +19,8 @@ expansion along the first column, whose minors are again such determinants
 for neighbouring shapes.  The coefficients are scaled to integers first
 (a_k times L^k, with L the lcm of the denominators), so every minor is an
 int and a result is divided once, by L^{|u| - |v|}.  The minors are
-memoized for one series at a time in the memo table ``minors`` of
-:mod:`cache`, which a different series replaces and which is never
-persisted.
+memoized per series in the owned table ``minors`` of :mod:`cache`, kept
+while the caller holds the series (or an equal one) and never persisted.
 """
 
 from __future__ import annotations
@@ -68,7 +67,8 @@ def _norm_coeff(c):
 class Series:
     """p(x) = 1 + a_1 x + ... + a_N x^N with exact rational coefficients."""
 
-    __slots__ = ("coeffs", "polynomial")
+    # Immutable after __init__; the weak reference keys its owned state.
+    __slots__ = ("coeffs", "polynomial", "_hash", "__weakref__")
 
     def __init__(self, coeffs: Iterable, polynomial: bool = True):
         coeffs = tuple(_norm_coeff(c) for c in coeffs)
@@ -76,6 +76,7 @@ class Series:
             raise ValueError("series must start with constant term 1")
         self.coeffs = coeffs
         self.polynomial = polynomial
+        self._hash = None
 
     @property
     def order(self) -> int:
@@ -176,7 +177,10 @@ class Series:
         )
 
     def __hash__(self) -> int:
-        return hash((self.coeffs, self.polynomial))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.coeffs, self.polynomial))
+        return h
 
     def __repr__(self) -> str:
         kind = "polynomial" if self.polynomial else "truncated"
@@ -218,16 +222,22 @@ class KappaExpansion:
         return None
 
 
-# Scaled minors of one series at a time (``cache.latest``).
-_minors: dict[Series, tuple[int, tuple, dict]] = cache.table("minors")
+_minors = cache.owned("minors")
 
 
-def _minor_state(p: Series) -> tuple[int, tuple, dict]:
-    """(L, (a_k L^k)_k, empty memo of scaled minors) for p, where L is the
-    lcm of the denominators of p."""
+def _minor_state(p: Series) -> tuple[int, tuple, dict, dict]:
+    """(L, (a_k L^k)_k, empty memo of scaled minors, empty memo of kappa
+    coefficients) for p, where L is the lcm of the denominators of p.  It
+    holds values only, never p: p is its weak key in ``minors``."""
     den, nums = _integers(p.coeffs)
     scaled = tuple(c * den ** (k - 1) if k else 1 for k, c in enumerate(nums))
-    return den, scaled, {}
+    return den, scaled, {}, {}
+
+
+def _state(p: Series) -> tuple[int, tuple, dict, dict]:
+    """p's state in ``minors``, built on first use; the kappa memo, keyed by
+    parts, belongs to :func:`stablechar.embeddings.kappa_coefficient`."""
+    return cache.latest(_minors, p, _minor_state)
 
 
 def _minor(u: tuple, v: tuple, scaled: tuple, memo: dict) -> int:
@@ -278,7 +288,7 @@ def _det(p: Series, u: tuple, v: tuple = ()):
         return 1
     # The largest index in the matrix, at row 0 and column n - 1.
     p.coeff(u[0] - (v[n - 1] if len(v) == n else 0) + n - 1)
-    den, scaled, memo = cache.latest(_minors, p, _minor_state)
+    den, scaled, memo, _ = _state(p)
     d = _minor(u, v, scaled, memo)
     if den == 1:
         return d
@@ -319,7 +329,7 @@ def kappa_expansion(p: Series, cutoff: int) -> KappaExpansion:
     # Every coefficient through the cutoff enters; a truncated series fails
     # on the first missing one, as ``product_expansion`` does.
     p.coeff(min(cutoff, p.order + 1))
-    den, scaled, memo = cache.latest(_minors, p, _minor_state)
+    den, scaled, memo, _ = _state(p)
     minors = [
         [(u, m) for u in _partitions_tuples(d, d) if (m := _minor(u, (), scaled, memo))]
         for d in range(cutoff + 1)

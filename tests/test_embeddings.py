@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import leibniz_dual_jacobi_trudi
-from stablechar import cache, checks, embeddings
+from stablechar import cache, checks, embeddings, series
 from stablechar.bcd import bcd_multiply
 from stablechar.embeddings import (
     CutoffError,
@@ -13,6 +14,7 @@ from stablechar.embeddings import (
     EmbeddingTable,
     image_by_skewing,
     image_from_table,
+    kappa_coefficient,
     parity_coefficient,
     random_table,
     table_from_series,
@@ -21,7 +23,7 @@ from stablechar.embeddings import (
 )
 from stablechar.partitions import EMPTY, Partition, partitions_through
 from stablechar.schur import FormalSum, dual_jacobi_trudi
-from stablechar.series import Series, TruncationError, random_rational
+from stablechar.series import Series, TruncationError, kappa_expansion, random_rational
 
 EX_322 = {
     Partition((3, 2, 2)): 1,
@@ -196,9 +198,49 @@ def test_image_from_table_state_follows_the_table():
     assert state_of(changed) is not state
     expected = leibniz_dual_jacobi_trudi(lam, changed.generator_image, bcd_multiply)
     assert got.as_sum() == expected != first.as_sum()
-    # Back to the first table: its state is rebuilt and gives the same image.
+    # Back to the first table: it still lives, so its state was kept, and
+    # its equal copy still shares it.
     assert image_from_table(table, lam) == first
-    assert state_of(table) is not state
+    assert state_of(table) is state
+    assert state_of(copy) is state
+
+
+def test_owned_states_die_with_their_owner():
+    # A state that referenced its owner would keep its weak key alive.
+    table = random_table(8, 2, random.Random(32))
+    p = Series.from_text("1,1/2,-1/3")
+    image_from_table(table, Partition((3, 3)), max_deficit=2)
+    kappa_expansion(p, 6)
+    kappa_coefficient(p, Partition((3, 2, 1)))
+    assert len(embeddings._table_minors) == 1 and len(series._minors) == 1
+    del table, p
+    gc.collect()
+    assert len(embeddings._table_minors) == 0 and len(series._minors) == 0
+
+
+def test_streamed_tables_leave_no_state():
+    rng = random.Random(33)
+    tables = ((d, 0, random_table(d + 7, d, rng)) for d in (1, 2, 3))
+    assert all(ok for _, ok in checks.identities("constant", tables, 6))
+    assert len(embeddings._table_minors) == 0
+
+
+def test_kept_table_makes_no_new_minor(monkeypatch):
+    table = random_table(10, 2, random.Random(34))
+    lam = Partition((4, 4))
+    first = image_from_table(table, lam, max_deficit=2)
+    image_from_table(random_table(10, 2, random.Random(35)), lam, max_deficit=2)
+    _, _, memo, _, row_memo = embeddings._table_minors[table]
+    sizes = len(memo), len(row_memo)
+    products = []
+
+    def counting(*args):
+        products.append(args)
+        return bcd_multiply(*args)
+
+    monkeypatch.setattr(embeddings, "bcd_multiply", counting)
+    assert image_from_table(table, lam, max_deficit=2) == first
+    assert products == [] and (len(memo), len(row_memo)) == sizes
 
 
 def test_oracle_equivalence_through_size_six():

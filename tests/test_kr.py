@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import rectangle_complement
-from stablechar import cache, checks
+from stablechar import cache, checks, kr
 from stablechar.embeddings import Decomposition, image_by_skewing
 from stablechar.kr import (
     domino_removals,
@@ -142,3 +142,35 @@ def test_format_weight_decomposition():
         "W(w1 + 2*w3) = V(w1 + 2*w3) + V(2*w1 + w3) + V(w2 + w3) "
         "+ V(3*w1) + V(w1 + w2)"
     )
+
+
+def test_eqquad_builds_each_w_character_once(monkeypatch):
+    built = []
+
+    def counting(lam, family):
+        built.append((lam.parts, family))
+        return kr_decomposition(lam, family)
+
+    monkeypatch.setattr(kr, "kr_decomposition", counting)
+    assert all(ok for _, ok in checks.eqquad(4))
+    # One per distinct rectangle and family, the empty one included; the
+    # grid asks for 192.
+    assert len(built) == len(set(built)) == 50
+    assert len(kr._w_characters) == 50
+    cache.clear_all()
+    assert not kr._w_characters
+
+
+def test_w_memo_leaves_the_cache_file_unchanged(tmp_path, monkeypatch):
+    def cache_file_after_eqquad(name):
+        cache.clear_all()
+        assert all(ok for _, ok in checks.eqquad(3))
+        cache.save(str(tmp_path / name))
+        return (tmp_path / name / "stablechar-cache.json").read_bytes()
+
+    memoized = cache_file_after_eqquad("memo")
+    # The same grid with every W character built afresh, as without the memo.
+    monkeypatch.setattr(
+        kr, "_w_character", lambda h, w, family: kr_decomposition(P(*[w] * h), family).as_sum()
+    )
+    assert cache_file_after_eqquad("fresh") == memoized
