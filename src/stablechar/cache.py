@@ -9,8 +9,10 @@ Two tables are owned instead, made by ``owned(name)``: ``minors`` holds the
 state of each :class:`~stablechar.series.Series` (its scaled coefficients,
 determinant minors and kappa coefficients), and ``table_minors`` that of
 each :class:`~stablechar.embeddings.EmbeddingTable` (its scaled generator
-and row images and two memos of dual Jacobi-Trudi minors, one for the
-determinants in each, since a memo serves one family of entries).  They
+images and two memos of dual Jacobi-Trudi minors, one for the determinants
+in the generator images and one for those in the row images, since a memo
+serves one family of entries; a row image is itself a top minor of the
+first).  They
 are weak-keyed: ``latest`` finds the state of an owner, the same object or
 an equal one, or builds it, and the state lives exactly as long as some
 caller holds its owner, with no size bound.  So a state must not reference

@@ -2,8 +2,10 @@
 
 Each generator yields one ``(label, passed)`` pair per case as soon as the
 case is decided; the labels are the lines the command prints, and the tests
-consume the same generators.  ``series`` is a list of ``(name, Series)``
-pairs, ``tables`` an iterable of ``(d, trial, EmbeddingTable)``.  Engine
+consume the same generators.  ``series`` is an iterable of ``(name,
+Series)`` pairs, ``tables`` an iterable of ``(d, trial, EmbeddingTable)``.
+``oracle`` and ``ringhom`` let a series go before they yield its case, so
+a caller that streams the series keeps the state of one at a time.  Engine
 functions are bound at module level, where the ``perfbench`` tracer rebinds
 them.
 """
@@ -62,6 +64,7 @@ def oracle(series, largest: int):
             image_by_skewing(p, lam).terms == image_from_table(table, lam).terms
             for lam in partitions_through(largest)
         )
+        del p, table
         yield f"oracle p={name} max-size={largest}", ok
 
 
@@ -73,6 +76,7 @@ def ringhom(series, bound: int):
             lam: image_by_skewing(p, lam).as_sum() for lam in partitions_through(2 * bound)
         }
         ok = all(_respects_product(images, mu, nu) for mu in shapes for nu in shapes)
+        del p, images
         yield f"ringhom p={name} max-size={bound}", ok
 
 

@@ -151,7 +151,13 @@ def _cmd_embed(args) -> int:
 
 
 def _series_set(args, order: int, default=("one", "geom2", "geom", "1,1")):
-    return [(name, _parse_series(name, order)) for name in args.series or default]
+    """The selected ``(name, Series)`` pairs, parsed again one at a time as
+    they are reached, so that no series outlives its case.  Every text is
+    parsed once up front, so a bad one fails before the first case line."""
+    names = args.series or default
+    for name in names:
+        _parse_series(name, order)
+    return ((name, _parse_series(name, order)) for name in names)
 
 
 def _verify_cases(args):

@@ -46,8 +46,8 @@ from .partitions import (
     Partition,
     subpartitions,
 )
-from .schur import FormalSum, _integers, _normalize, dual_jacobi_trudi, skew_expand
-from .series import Series, TruncationError, _det, _state, dual, random_rational
+from .schur import FormalSum, _integers, _normalize, _skew_sum, dual_jacobi_trudi
+from .series import Series, TruncationError, dual, kappa_coefficient, random_rational
 
 __all__ = [
     "CutoffError",
@@ -239,8 +239,8 @@ class Decomposition:
     def as_sum(self) -> FormalSum:
         return FormalSum(self.basis, dict(self.terms))
 
-    def sorted_terms(self, ascending: bool = False):
-        return self.as_sum().sorted_terms(ascending=ascending)
+    def sorted_terms(self):
+        return self.as_sum().sorted_terms()
 
     def __str__(self) -> str:
         return str(self.as_sum())
@@ -258,50 +258,20 @@ class Decomposition:
         return cls(Partition.from_json(data["lambda"]), data["basis"], terms)
 
 
-def kappa_coefficient(p: Series, mu: Partition):
-    """Coefficient of s_mu in the kappa kernel of p.
-
-    Splitting the kernel into its two factors gives a sum of skew-shaped
-    Jacobi-Trudi determinants det(a_{mu_i - rho_j - i + j}) over the
-    even-column subdiagrams rho of mu.  These are the shapes
-    (s_1, s_1, s_2, s_2, ...) for s contained in (mu_2, mu_4, ...).
-    The coefficients are memoized in p's state (see ``series._state``).
-    """
-    kappa = _state(p)[3]
-    parts = mu.parts
-    cached = kappa.get(parts)
-    if cached is not None:
-        return cached
-    total = 0
-    for sigma in subpartitions(Partition._trusted(parts[1::2])):
-        rho = tuple(r for s in sigma.parts for r in (s, s))
-        total += _det(p, parts, rho)
-    total = kappa[parts] = _normalize(total)
-    return total
-
-
 def image_by_skewing(p: Series, lam: Partition) -> Decomposition:
     """Image of s_lam under the embedding built from p, by skewing.
 
     Exact for any lam with p known through order |lam|: only subdiagrams of
-    lam meet the kernel, so no truncation of the kernel is involved.
+    lam meet the kernel, so no truncation of the kernel is involved.  The
+    sum of kappa_mu(p) s_{lam/mu} over the subdiagrams mu is taken in
+    integers by ``schur._skew_sum``.
     """
     if not p.polynomial and p.order < lam.size:
         raise TruncationError(
             f"series truncated at order {p.order} cannot embed a shape of size {lam.size}"
         )
-    terms: dict[Partition, object] = {}
-    for mu in subpartitions(lam):
-        c = kappa_coefficient(p, mu)
-        if not c:
-            continue
-        for nu, mult in skew_expand(lam, mu).terms.items():
-            cur = terms.get(nu, 0) + c * mult
-            if cur:
-                terms[nu] = _normalize(cur)
-            else:
-                terms.pop(nu, None)
-    return Decomposition(lam, "sp", terms)
+    weights = ((mu.parts, kappa_coefficient(p, mu)) for mu in subpartitions(lam))
+    return Decomposition(lam, "sp", _skew_sum(lam.parts, weights))
 
 
 _table_minors = cache.owned("table_minors")
@@ -312,14 +282,14 @@ def _table_state(table: EmbeddingTable) -> tuple[int, Callable, dict, Callable, 
     denominators of its entries: gen(n) is L^n times generator image n,
     row(n, max_deficit) is L^n times the image of the single row (n) cut at
     that deficit, and the two empty memos hold the minors of determinants in
-    gen and in row.  The scaled images are built once each; the row images
-    share their minors with the other determinants in gen.  The state reads
-    the table's entries but holds no reference to the table, its weak key
-    in ``table_minors``."""
+    gen and in row.  The scaled generator images are built once each.  A row
+    image is a determinant in gen whose top minor is an entry of ``memo``,
+    keyed by its matrix and deficit, so a row asked for again is read from
+    there.  The state reads the table's entries but holds no reference to
+    the table, its weak key in ``table_minors``."""
     entries = table._m
     den, _ = _integers(entries.values())
     scaled: dict[int, FormalSum] = {}
-    rows: dict[tuple, FormalSum] = {}
     memo: dict = {}
 
     def gen(n: int) -> FormalSum:
@@ -329,12 +299,8 @@ def _table_state(table: EmbeddingTable) -> tuple[int, Callable, dict, Callable, 
         return g
 
     def row(n: int, max_deficit: int | None) -> FormalSum:
-        key = (n, max_deficit)
-        h = rows.get(key)
-        if h is None:
-            shape = Partition._trusted((n,)) if n else EMPTY
-            h = rows[key] = dual_jacobi_trudi(shape, gen, bcd_multiply, max_deficit, memo)
-        return h
+        shape = Partition._trusted((n,)) if n else EMPTY
+        return dual_jacobi_trudi(shape, gen, bcd_multiply, max_deficit, memo)
 
     return den, gen, memo, row, {}
 

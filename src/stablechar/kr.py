@@ -8,8 +8,10 @@ I.5 Ex. 5)
     prod_{i<=j} (1 - x_i x_j)^{-1} = sum of s_mu over mu with even rows,
     prod_{i<j}  (1 - x_i x_j)^{-1} = sum of s_mu over mu with even columns,
 
-so ``kr_decomposition`` skews lam by those shapes directly; the kernel
-route of :func:`stablechar.embeddings.image_by_skewing` is its test oracle.
+so ``kr_decomposition`` skews lam by those shapes directly, through the
+integer skew sum ``schur._skew_sum`` that the kernel route of
+:func:`stablechar.embeddings.image_by_skewing` also takes, with weight 1 on
+each such shape; the kernel route is its test oracle.
 On rectangles the decompositions match the classical domino-removal
 description, which ``rectangle_check`` verifies by computing both sides
 independently.  ``quadratic_identity_check`` tests the square-of-a-rectangle
@@ -26,7 +28,7 @@ from . import cache
 from .bcd import bcd_multiply
 from .embeddings import Decomposition
 from .partitions import Partition, all_even_columns, all_even_rows, subpartitions
-from .schur import FormalSum, skew_expand
+from .schur import FormalSum, _skew_sum
 
 __all__ = [
     "FAMILIES",
@@ -93,12 +95,8 @@ def kr_decomposition(lam: Partition, family: str) -> Decomposition:
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
     basis, even = ("sp", all_even_rows) if family == "C" else ("o", all_even_columns)
-    terms: dict[Partition, int] = {}
-    for mu in subpartitions(lam):
-        if even(mu):
-            for nu, mult in skew_expand(lam, mu).terms.items():
-                terms[nu] = terms.get(nu, 0) + mult
-    return Decomposition(lam, basis, terms)
+    weights = ((mu.parts, 1) for mu in subpartitions(lam) if even(mu))
+    return Decomposition(lam, basis, _skew_sum(lam.parts, weights))
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,17 @@ in C.  ``schur_multiply`` and ``bcd.bcd_multiply`` share one bilinear
 accumulation that scales both operands to integer coefficients, merges
 (mu, nu) and (nu, mu) into one unordered pair before any basis product is
 looked up, adds ints, and divides once per output term; the minors of
-``dual_jacobi_trudi`` and the kernel slices of ``series.kappa_expansion``
-are summed the same way.  ``Partition`` objects are built only for the
-``FormalSum`` a public function returns, and each comes from the in-memory
-``shapes`` table (parts to one shared ``Partition``), so equal keys of two
-returned sums are usually the same object and a dict lookup stops at the
-identity check instead of calling ``Partition.__eq__``.
+``dual_jacobi_trudi``, the kernel slices of ``series.kappa_expansion`` and
+the weighted skew sums of ``_skew_sum`` are summed the same way.  The last
+is one sum for both skewing routes: ``embeddings.image_by_skewing`` weights
+each subdiagram mu of lam by its kappa coefficient, and
+``kr.kr_decomposition`` weights the even-row or even-column mu by 1.
+
+``Partition`` objects are built only for the ``FormalSum`` a public
+function returns, and each comes from the in-memory ``shapes`` table (parts
+to one shared ``Partition``), so equal keys of two returned sums are
+usually the same object and a dict lookup stops at the identity check
+instead of calling ``Partition.__eq__``.
 
 Littlewood-Richardson coefficients are invariant under conjugating all
 three shapes, c^lam_{mu,nu} = c^{lam'}_{mu',nu'}.  So a memo miss first
@@ -58,7 +63,7 @@ from math import lcm
 from typing import Callable
 
 from . import cache
-from .partitions import EMPTY, Partition, canonical_key
+from .partitions import EMPTY, Partition
 
 __all__ = [
     "BASES",
@@ -190,11 +195,8 @@ class FormalSum:
         out.terms = terms
         return out
 
-    def sorted_terms(self, ascending: bool = False) -> list[tuple[Partition, object]]:
-        """Terms ordered by size then descending lex; largest size first
-        unless ``ascending``."""
-        if ascending:
-            return sorted(self.terms.items(), key=lambda kv: canonical_key(kv[0]))
+    def sorted_terms(self) -> list[tuple[Partition, object]]:
+        """Terms ordered by size, largest first, then descending lex."""
         return sorted(
             self.terms.items(), key=lambda kv: (-kv[0].size, tuple(-p for p in kv[0]))
         )
@@ -353,6 +355,22 @@ def _skew(lam: tuple, mu: tuple) -> dict[tuple, int]:
             cached = _lattice_fillings(lam, mu)
         _skew_cache[key] = cached
     return cached
+
+
+def _skew_sum(lam: tuple, weights) -> dict[Partition, object]:
+    """Terms of the sum of w * s_{lam/mu} over the (mu, w) pairs of
+    ``weights``, every mu inside lam.  The memo entries are summed with the
+    weights scaled to integers, in one accumulator, and divided once; a
+    zero weight is skipped, so its skew expansion is never computed."""
+    # Each skew is taken before the next weight is read: computing every
+    # weight of lam first raised the peak RSS of `verify --prop oracle
+    # --max-size 12` from 23.5 to 25.2 MB (CPython 3.11).
+    entries = [(w, _skew(lam, mu)) for mu, w in weights if w]
+    den, ints = _integers([w for w, _ in entries])
+    acc: dict[tuple, int] = {}
+    for (_, entry), w in zip(entries, ints):
+        _accumulate(acc, entry.items(), w)
+    return _terms(acc, den)
 
 
 def skew_expand(lam: Partition, mu: Partition) -> FormalSum:

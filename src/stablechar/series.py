@@ -9,9 +9,11 @@ coefficients past their order rather than silently padding.
 The kappa kernel of p is  prod_i p(x_i) / prod_{i<j} (1 - x_i x_j).  Its
 numerator expands in the Schur basis with coefficient of s_lam equal to the
 determinant det(a_{lam_i - i + j}); the denominator contributes the classical
-sum of s_lam over shapes with all column heights even.  ``kappa_expansion``
+sum of s_lam over shapes with all column heights even.  ``product_expansion``
+reads the numerator off the scaled minors below, and ``kappa_expansion``
 multiplies the two factors degree by degree, each degree one integer sum of
-the scaled minors below times the even-column shapes, divided once.
+the same minors times the even-column shapes, divided once.  A single
+coefficient of the kernel is ``kappa_coefficient``, a sum of skew minors.
 
 Every kernel coefficient is a skew Jacobi-Trudi determinant
 D(u, v) = det(a_{u_i - v_j - i + j}), evaluated by ``_det``: Laplace
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import cache
-from .partitions import EMPTY, Partition, _partitions_tuples, partitions_of
+from .partitions import EMPTY, Partition, _partitions_tuples, partitions_of, subpartitions
 from .schur import FormalSum, _conjugate, _integers, _pair_products, _schur_basis_product, _terms
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
     "PositivityVerdict",
     "product_expansion",
     "kappa_expansion",
+    "kappa_coefficient",
     "dual",
     "is_kappa_positive",
     "is_product_s_positive",
@@ -236,7 +239,7 @@ def _minor_state(p: Series) -> tuple[int, tuple, dict, dict]:
 
 def _state(p: Series) -> tuple[int, tuple, dict, dict]:
     """p's state in ``minors``, built on first use; the kappa memo, keyed by
-    parts, belongs to :func:`stablechar.embeddings.kappa_coefficient`."""
+    parts, belongs to :func:`kappa_coefficient`."""
     return cache.latest(_minors, p, _minor_state)
 
 
@@ -295,23 +298,55 @@ def _det(p: Series, u: tuple, v: tuple = ()):
     return _norm_coeff(Fraction(d, den ** (sum(u) - sum(v))))
 
 
-def product_coefficient(p: Series, lam: Partition):
-    """Coefficient of s_lam in prod_i p(x_i): det(a_{lam_i - i + j})."""
-    return _det(p, lam.parts)
+def kappa_coefficient(p: Series, mu: Partition):
+    """Coefficient of s_mu in the kappa kernel of p.
+
+    Splitting the kernel into its two factors gives a sum of skew-shaped
+    Jacobi-Trudi determinants det(a_{mu_i - rho_j - i + j}) over the
+    even-column subdiagrams rho of mu.  These are the shapes
+    (s_1, s_1, s_2, s_2, ...) for s contained in (mu_2, mu_4, ...).
+    The coefficients are memoized in p's state (see ``_state``).
+    """
+    kappa = _state(p)[3]
+    parts = mu.parts
+    cached = kappa.get(parts)
+    if cached is not None:
+        return cached
+    total = 0
+    for sigma in subpartitions(Partition._trusted(parts[1::2])):
+        rho = tuple(r for s in sigma.parts for r in (s, s))
+        total += _det(p, parts, rho)
+    total = kappa[parts] = _norm_coeff(total)
+    return total
+
+
+def _scaled_minors(p: Series, cutoff: int) -> tuple[int, list[dict[tuple, int]]]:
+    """(L, minors) with minors[d] = {lam: m_lam} over the shapes lam of size
+    d <= cutoff, descending lex, whose scaled minor m_lam = L^d
+    det(a_{lam_i - i + j}) (see ``_det``) is nonzero; the minors come from
+    p's state.
+
+    Degree d needs the coefficients through a_d, and the hook (d) is the
+    first shape to ask for a_d, so a truncated series fails on its first
+    missing coefficient with the message ``Series.coeff`` gives for it.
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    p.coeff(min(cutoff, p.order + 1))
+    den, scaled, memo, _ = _state(p)
+    minors = [
+        {u: m for u in _partitions_tuples(d, d) if (m := _minor(u, (), scaled, memo))}
+        for d in range(cutoff + 1)
+    ]
+    return den, minors
 
 
 def product_expansion(p: Series, cutoff: int) -> KappaExpansion:
-    """Schur expansion of prod_i p(x_i) through total degree ``cutoff``."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    graded = {}
-    for d in range(cutoff + 1):
-        terms = {}
-        for lam in partitions_of(d):
-            c = product_coefficient(p, lam)
-            if c:
-                terms[lam] = c
-        graded[d] = FormalSum("schur", terms)
+    """Schur expansion of prod_i p(x_i) through total degree ``cutoff``:
+    the coefficient of s_lam is det(a_{lam_i - i + j}), the scaled minor of
+    lam divided by L^{|lam|}."""
+    den, minors = _scaled_minors(p, cutoff)
+    graded = {d: FormalSum._raw("schur", _terms(row, den**d)) for d, row in enumerate(minors)}
     return KappaExpansion(cutoff, graded)
 
 
@@ -319,21 +354,12 @@ def kappa_expansion(p: Series, cutoff: int) -> KappaExpansion:
     """Expansion of the kappa kernel of p through total degree ``cutoff``.
 
     The product expansion times the even-column sum, summed in integers one
-    degree d at a time.  Each scaled minor m_lam = L^{|lam|} det(a_{lam_i -
-    i + j}) (see ``_det``) meets each even-column shape eps of size
-    d - |lam| as one unordered pair (lam, eps) with factor m_lam L^{|eps|};
-    the products of the pairs go into one accumulator, divided once by L^d.
+    degree d at a time.  Each scaled minor m_lam of ``_scaled_minors`` meets
+    each even-column shape eps of size d - |lam| as one unordered pair
+    (lam, eps) with factor m_lam L^{|eps|}; the products of the pairs go
+    into one accumulator, divided once by L^d.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    # Every coefficient through the cutoff enters; a truncated series fails
-    # on the first missing one, as ``product_expansion`` does.
-    p.coeff(min(cutoff, p.order + 1))
-    den, scaled, memo, _ = _state(p)
-    minors = [
-        [(u, m) for u in _partitions_tuples(d, d) if (m := _minor(u, (), scaled, memo))]
-        for d in range(cutoff + 1)
-    ]
+    den, minors = _scaled_minors(p, cutoff)
     # The even-column shapes of size 2h: the conjugates of the doubled
     # partitions of h.
     evens = [
@@ -345,7 +371,7 @@ def kappa_expansion(p: Series, cutoff: int) -> KappaExpansion:
         pairs: dict[tuple, int] = {}
         for d1 in range(d % 2, d + 1, 2):
             scale = den ** (d - d1)
-            for u, m in minors[d1]:
+            for u, m in minors[d1].items():
                 for eps in evens[(d - d1) // 2]:
                     pair = (u, eps) if u <= eps else (eps, u)
                     pairs[pair] = pairs.get(pair, 0) + m * scale
@@ -440,12 +466,10 @@ def _sign_at_zero(q: list[Fraction]) -> int:
     return (c > 0) - (c < 0)
 
 
-def _sign_at_inf(q: list[Fraction], negative: bool) -> int:
+def _sign_at_minus_inf(q: list[Fraction]) -> int:
     lead = q[-1]
     s = (lead > 0) - (lead < 0)
-    if negative and (len(q) - 1) % 2 == 1:
-        s = -s
-    return s
+    return -s if len(q) % 2 == 0 else s
 
 
 def real_negative_roots(p: Series) -> bool:
@@ -459,21 +483,17 @@ def real_negative_roots(p: Series) -> bool:
     poly = _poly_trim([Fraction(c) for c in p.coeffs])
     if len(poly) <= 1:
         return True
-    deriv = _poly_trim([c * k for k, c in enumerate(poly)][1:])
-    # Distinct-root count: Sturm chains count distinct real roots even for
-    # non-squarefree input; deg(p) - deg(gcd(p, p')) counts distinct complex
-    # roots.
-    a, b = poly[:], deriv[:]
-    while b:
-        a, b = b, _poly_rem(a, b)
-    distinct_total = (len(poly) - 1) - (len(a) - 1)
+    # The Sturm chain is the Euclidean remainder sequence of p and p', so its
+    # last element is a multiple of gcd(p, p'), and p has deg(p) - deg(gcd)
+    # distinct complex roots.  The chain counts distinct real roots even for
+    # non-squarefree p, and p(0) = 1 is not 0.
     chain = _sturm_chain(poly)
-    at_neg = _variations([_sign_at_inf(q, True) for q in chain])
+    distinct = len(poly) - len(chain[-1])
+    at_neg = _variations([_sign_at_minus_inf(q) for q in chain])
     at_zero = _variations([_sign_at_zero(q) for q in chain])
-    at_pos = _variations([_sign_at_inf(q, False) for q in chain])
-    real_all = at_neg - at_pos
-    real_negative = at_neg - at_zero
-    return real_all == distinct_total and real_negative == distinct_total
+    # Real negative roots <= real roots <= distinct roots, so every root is
+    # real and negative exactly when the first count reaches the last.
+    return at_neg - at_zero == distinct
 
 
 # ---------------------------------------------------------------------------

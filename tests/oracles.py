@@ -7,10 +7,12 @@ determinants from the Leibniz permutation expansion and from Bareiss
 elimination (the engine expands its Jacobi-Trudi determinants by minors,
 over numbers in ``series`` and over a ring in ``dual_jacobi_trudi``).
 
-``kappa_by_slices`` is the exception: it is the engine's former route to
-the kappa kernel, graded slices multiplied by ``schur_multiply`` and summed
-as ``FormalSum``s, kept to hold the integer sum of ``kappa_expansion``
-against.
+Two former engine routes are the exceptions, kept to hold the engine's
+integer sums against.  ``kappa_by_slices`` builds the kappa kernel from
+graded slices multiplied by ``schur_multiply`` and summed as ``FormalSum``s,
+against ``kappa_expansion``.  ``skewing_by_terms`` sums weighted
+``skew_expand`` results term by term, against the one skew sum of
+``image_by_skewing`` and ``kr_decomposition``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from stablechar.partitions import Partition, all_even_columns, partitions_of
-from stablechar.schur import FormalSum, schur_multiply
+from stablechar.partitions import Partition, all_even_columns, partitions_of, subpartitions
+from stablechar.schur import FormalSum, schur_multiply, skew_expand
 from stablechar.series import KappaExpansion, product_expansion
 
 
@@ -203,3 +205,12 @@ def kappa_by_slices(p, cutoff: int) -> KappaExpansion:
             acc = acc + schur_multiply(prod.graded[d1], even_column_slice(d - d1))
         graded[d] = acc
     return KappaExpansion(cutoff, graded)
+
+
+def skewing_by_terms(lam: Partition, weight, basis: str) -> FormalSum:
+    """The sum of weight(mu) * s_{lam/mu} over the subdiagrams mu of lam, in
+    the given basis, added up one ``skew_expand`` sum at a time."""
+    total = FormalSum.zero("schur")
+    for mu in subpartitions(lam):
+        total = total + skew_expand(lam, mu).scaled(weight(mu))
+    return FormalSum(basis, total.terms)

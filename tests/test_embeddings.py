@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import random
@@ -5,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import leibniz_dual_jacobi_trudi
-from stablechar import cache, checks, embeddings, series
+from oracles import leibniz_dual_jacobi_trudi, skewing_by_terms
+from stablechar import cache, checks, cli, embeddings, series
 from stablechar.bcd import bcd_multiply
 from stablechar.embeddings import (
     CutoffError,
@@ -55,6 +56,14 @@ def test_image_by_skewing_worked_example():
     dec = image_by_skewing(Series.one(), Partition((3, 2, 2)))
     assert dec.terms == EX_322
     assert dec.basis == "sp"
+
+
+def test_image_by_skewing_matches_term_by_term_skews():
+    # Kappa coefficients with several denominators, some of them zero.
+    p = Series.from_text("1,1/2,-2/3,0,3/5,1/7")
+    for lam in partitions_through(6):
+        expected = skewing_by_terms(lam, lambda mu: kappa_coefficient(p, mu), "sp")
+        assert image_by_skewing(p, lam).as_sum() == expected, lam
 
 
 def test_image_by_skewing_even_rows_kernel():
@@ -223,6 +232,15 @@ def test_streamed_tables_leave_no_state():
     tables = ((d, 0, random_table(d + 7, d, rng)) for d in (1, 2, 3))
     assert all(ok for _, ok in checks.identities("constant", tables, 6))
     assert len(embeddings._table_minors) == 0
+
+
+def test_streamed_series_leave_no_state():
+    args = argparse.Namespace(series=["1,1/2,-1/3", "geom"])
+    cases = checks.oracle(cli._series_set(args, 6), 4)
+    assert next(cases) == ("oracle p=1,1/2,-1/3 max-size=4", True)
+    assert len(series._minors) == 0 and len(embeddings._table_minors) == 0
+    assert next(cases) == ("oracle p=geom max-size=4", True)
+    assert len(series._minors) == 0 and len(embeddings._table_minors) == 0
 
 
 def test_kept_table_makes_no_new_minor(monkeypatch):

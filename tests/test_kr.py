@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import rectangle_complement
+from oracles import rectangle_complement, skewing_by_terms
 from stablechar import cache, checks, kr
 from stablechar.embeddings import Decomposition, image_by_skewing
 from stablechar.kr import (
@@ -14,7 +14,14 @@ from stablechar.kr import (
     weights_json,
     weights_to_partition,
 )
-from stablechar.partitions import EMPTY, Partition, partitions_through, subpartitions
+from stablechar.partitions import (
+    EMPTY,
+    Partition,
+    all_even_columns,
+    all_even_rows,
+    partitions_through,
+    subpartitions,
+)
 from stablechar.schur import skew_expand
 from stablechar.series import Series
 
@@ -82,6 +89,29 @@ def test_kr_decomposition_matches_kernel_route():
         bd_dec = image_by_skewing(one, lam)
         assert kr_decomposition(lam, "C") == Decomposition(lam, "sp", c_dec.terms)
         assert kr_decomposition(lam, "BD") == Decomposition(lam, "o", bd_dec.terms)
+
+
+def test_kr_decomposition_matches_term_by_term_skews():
+    for lam in partitions_through(7):
+        for family, basis, even in (("C", "sp", all_even_rows), ("BD", "o", all_even_columns)):
+            expected = skewing_by_terms(lam, lambda mu: int(even(mu)), basis)
+            assert kr_decomposition(lam, family).as_sum() == expected, (lam, family)
+
+
+def test_skew_sums_expand_no_shape_of_weight_zero():
+    # The skew table is persisted: a skew expansion of a zero weight would
+    # put an entry in the cache file that the sum never needed.
+    lam = Partition((4, 3, 2, 1))
+    image_by_skewing(Series.one(), lam)  # kappa of p = 1: the even-column sum
+    assert set(cache.table("skew")) == {
+        (lam.parts, mu.parts) for mu in subpartitions(lam) if all_even_columns(mu)
+    }
+    kr_decomposition(lam, "C")
+    assert set(cache.table("skew")) == {
+        (lam.parts, mu.parts)
+        for mu in subpartitions(lam)
+        if all_even_columns(mu) or all_even_rows(mu)
+    }
 
 
 def test_rectangle_check_small():

@@ -156,6 +156,28 @@ def test_kernel_det_edge_cases():
         assert kappa_coefficient(q, EMPTY) == 1
 
 
+def test_product_expansion_matches_determinant_oracles():
+    # Three or more distinct denominators in each series, so that L^d is
+    # not a power of one prime; kappa_expansion fills the shared minors
+    # first for one of them, and the other reads a cold state.
+    exact = [
+        Series((1, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(1, 7))),
+        Series((1, Fraction(-1, 4), 0, Fraction(5, 6), Fraction(2, 9), 0, Fraction(-3, 10))),
+    ]
+    kappa_expansion(exact[0], 8)
+    truncated = Series((1, Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), 1), polynomial=False)
+    for p, cutoff in [(exact[0], 8), (exact[1], 8), (truncated, 4)]:
+        expansion = product_expansion(p, cutoff)
+        for d in range(cutoff + 1):
+            for lam in partitions_of(d):
+                rows = _jacobi_trudi_rows(p, lam.parts, ())
+                oracle = leibniz_det(rows) if len(lam) <= 6 else bareiss_det(rows)
+                assert expansion.coefficient(lam) == oracle, (p, lam)
+    message = "^coefficient 5 requested but series is truncated at order 4$"
+    with pytest.raises(TruncationError, match=message):
+        product_expansion(truncated, 5)
+
+
 def test_product_expansion_elementary_series():
     # prod (1 + x_i) puts coefficient 1 on every single column.
     exp = product_expansion(Series.from_text("1,1"), 6)
@@ -320,6 +342,9 @@ def test_real_negative_roots():
     assert not real_negative_roots(Series.from_text("1,0,1"))  # roots +-i
     assert not real_negative_roots(Series.from_text("1,0,-1"))  # roots +-1
     assert real_negative_roots(Series.one())  # no roots at all
+    assert not real_negative_roots(Series.from_text("1,3,4,3,1"))  # (1+x)^2 (1+x+x^2)
+    assert not real_negative_roots(Series.from_text("1,1,-1,-1"))  # (1+x)^2 (1-x)
+    assert real_negative_roots(Series.from_text("1,3,3,1"))  # (1+x)^3
     with pytest.raises(ValueError):
         real_negative_roots(Series.geom(4))
 
