@@ -60,6 +60,15 @@ def _count(text: str) -> int:
     return value
 
 
+def _rational(text: str) -> Fraction:
+    """The rational ``text``; ValueError names the text, a zero denominator
+    included."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_pair(text: str) -> tuple[Partition, Partition]:
     if "/" not in text:
         raise ValueError(f"expected LAMBDA/MU, got {text!r}")
@@ -244,7 +253,7 @@ def _parse_grid(spec: str) -> tuple[list[Fraction], list[Fraction]]:
         lo, _, hi = span.partition("..")
         if not step or not hi:
             raise ValueError(f"bad grid component {piece!r}")
-        lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
+        lo, hi, step = _rational(lo), _rational(hi), _rational(step)
         if step <= 0 or hi < lo:
             raise ValueError(f"bad grid range {piece!r}")
         values = []
@@ -273,7 +282,7 @@ def _cmd_scan(args) -> int:
         return 0
     if args.a is None or args.b is None:
         raise ValueError("scan needs --a and --b (or --grid)")
-    report = quadratic_scan(Fraction(args.a), Fraction(args.b), args.degree)
+    report = quadratic_scan(_rational(args.a), _rational(args.b), args.degree)
     if args.json:
         payload = _scan_row(report)
         payload["per_degree_min"] = [

@@ -15,16 +15,14 @@ constructions are provided and used as mutual oracles:
   L^n, with L the lcm of the denominators of the table's entries), so every
   minor is an integer sum and a result is divided once, by L^{|lam|}.  The
   minors are memoized per table in the owned table ``table_minors`` of
-  :mod:`cache`, keyed by their matrix, so that every shape of the table
-  shares them; they are kept while the caller holds the table (or an equal
-  one) and never persisted.  A truncated image (``max_deficit`` set) of a
-  shape with fewer rows than columns takes the short side instead: the
-  Jacobi-Trudi determinant det(h_{lam_i - i + j}) (Macdonald I.(3.4)), of
-  side len(lam) instead of lam_1, in the scaled images of the single rows
-  h_n, each a determinant in the generator images cut at the same deficit.
-  Only truncated images do so: a row image cut at deficit d holds at most
-  d + 1 degrees, but a full one holds every degree, and on full images the
-  row side was measured slower.
+  :mod:`cache`, each keyed by the shape it is the determinant of, so that
+  every shape of the table shares them; they are kept while the caller
+  holds the table (or an equal one) and never persisted.  The side is
+  chosen by the shape alone: a shape with fewer rows than columns is the
+  Jacobi-Trudi determinant det(h_{lam_i - i + j}) (Macdonald I.(3.4))
+  instead, of side len(lam) rather than lam_1, in the scaled images of the
+  single rows h_n, each a determinant in the generator images cut at the
+  same deficit, if any.
 
 ``table_from_series`` bridges the two: the table of the embedding built
 from p has constants b_{i-j}, where 1 + b_1 x + b_2 x^2 + ... is the dual
@@ -206,17 +204,17 @@ def table_from_series(p: Series, cutoff: int) -> EmbeddingTable:
     return EmbeddingTable(cutoff, entries)
 
 
-def random_table(cutoff: int, d: int, rng: random.Random, bound: int = 100) -> EmbeddingTable:
+def random_table(cutoff: int, d: int, rng: random.Random) -> EmbeddingTable:
     """Seeded table that is constant on diagonals below d and random on and
     above diagonal d (the shape needed by the verification identities)."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    below = {diff: random_rational(rng, bound) for diff in range(1, d)}
+    below = {diff: random_rational(rng) for diff in range(1, d)}
     entries = {}
     for i in range(cutoff + 1):
         for j in range(i):
             diff = i - j
-            entries[(i, j)] = below[diff] if diff < d else random_rational(rng, bound)
+            entries[(i, j)] = below[diff] if diff < d else random_rational(rng)
     return EmbeddingTable(cutoff, entries)
 
 
@@ -282,9 +280,12 @@ def _table_state(table: EmbeddingTable) -> tuple[int, Callable, dict, Callable, 
     denominators of its entries: gen(n) is L^n times generator image n,
     row(n, max_deficit) is L^n times the image of the single row (n) cut at
     that deficit, and the two empty memos hold the minors of determinants in
-    gen and in row.  The scaled generator images are built once each.  A row
-    image is a determinant in gen whose top minor is an entry of ``memo``,
-    keyed by its matrix and deficit, so a row asked for again is read from
+    gen and in row.  A key u of ``memo`` stands for L^{|u|} times the image
+    of s_{u'}, but in ``row_memo`` for that of s_u, so the two are never
+    merged; ``image_from_table`` reads ``row_memo`` for the shapes with
+    fewer rows than columns and ``memo`` for the others.  The scaled
+    generator images are built once each.  A row image (n) is the top minor
+    (1^n) of ``memo`` at its deficit, so a row asked for again is read from
     there.  The state reads the table's entries but holds no reference to
     the table, its weak key in ``table_minors``."""
     entries = table._m
@@ -319,27 +320,22 @@ def image_from_table(
     every earlier call on the same table; the result is divided by
     L^{|lam|}, the weight of the full matrix.
 
-    A truncated image of a shape with fewer rows than columns is the
-    Jacobi-Trudi determinant det(h_{lam_i - i + j}) instead, of side len(lam)
-    rather than lam_1, in the scaled row images h_n, each a Hessenberg
+    A shape with fewer rows than columns, truncated or not, is the
+    Jacobi-Trudi determinant det(h_{lam_i - i + j}) instead, of side
+    len(lam) rather than lam_1, in the scaled row images h_n, each a
     determinant in gen cut at the same deficit; it has the same weight, so
-    the same division.  Only truncated images take this side: a row image
-    cut at deficit d holds at most d + 1 degrees, while a full one holds
-    every degree and costs more than the smaller determinant saves.
+    the same division.
     """
-    lam_t = lam.transpose()
-    need = (lam_t.part(0) + len(lam_t) - 1) if len(lam_t) else 0
+    need = len(lam) + lam.part(0) - 1
     if need > table.cutoff:
         raise CutoffError(
             f"shape {lam} needs table entries through {need}, cutoff is {table.cutoff}"
         )
     den, gen, memo, row, row_memo = cache.latest(_table_minors, table, _table_state)
-    if max_deficit is not None and len(lam) < lam.part(0):
-        result = dual_jacobi_trudi(
-            lam_t, lambda n: row(n, max_deficit), bcd_multiply, max_deficit, row_memo
-        )
-    else:
-        result = dual_jacobi_trudi(lam, gen, bcd_multiply, max_deficit, memo)
+    shape = lam
+    if len(lam) < lam.part(0):
+        shape, gen, memo = lam.transpose(), (lambda n: row(n, max_deficit)), row_memo
+    result = dual_jacobi_trudi(shape, gen, bcd_multiply, max_deficit, memo)
     scale = den**lam.size
     terms = {mu: _normalize(Fraction(c, scale)) for mu, c in result.terms.items()}
     return Decomposition(lam, "sp", terms)

@@ -121,6 +121,10 @@ class Partition:
 
     @classmethod
     def from_json(cls, data) -> "Partition":
+        """Partition from its JSON form, which is untrusted: anything but a
+        list of ints (bools excluded) raises ``ValueError`` naming it."""
+        if not isinstance(data, list) or any(type(p) is not int for p in data):
+            raise ValueError(f"a partition must be a JSON list of ints, got {data!r:.40}")
         return cls(data)
 
 

@@ -43,11 +43,12 @@ min(len(mu), len(nu)), transposing the result.
 
 ``dual_jacobi_trudi`` is the ring-generic determinant evaluator used to
 rebuild images of arbitrary shapes from images of single columns (the
-e-basis Jacobi-Trudi identity, Macdonald I.(3.5)).  Its minors are memoized
-by the matrix they stand for, in a memo the caller may own and share across
-the shapes of one generator family, and it can truncate every minor below a
-degree floor (each minor is homogeneous in the generator grading, so the
-floor is well defined).
+e-basis Jacobi-Trudi identity, Macdonald I.(3.5)).  It expands along the
+first column, as ``series._minor`` does, so every minor is the determinant
+of a smaller shape and is memoized under that shape's conjugate parts, in a
+memo the caller may own and share across the shapes of one generator
+family.  It can truncate every minor below a degree floor (each minor is
+homogeneous in the generator grading, so the floor is well defined).
 
 The memo tables of skew expansions and basis products (``skew`` and
 ``product``) live in :mod:`cache`, which can persist them; a derived entry
@@ -597,47 +598,42 @@ def dual_jacobi_trudi(
     full determinant exactly.  In that mode ``mult`` is called with a third
     argument, the degree floor of the product, so it can skip dead terms.
 
-    The determinant is expanded along its first row.  A minor keeps rows
-    i, i+1, ... and columns c_0 < c_1 < ... of the matrix, whose entries
-    are gen(s_i + c_k) with s_i = lam'_i - i, so it is keyed by the matrix
-    it stands for: ((s_i + c_0, s_{i+1} + c_0, ...), (0, c_1 - c_0, ...),
-    max_deficit).  The key also fixes the minor's weight, the sum of its
-    two tuples, and with it the degree floor.  A minor that several shapes
-    share is thus computed once per ``memo``.  Pass a dict to share minors
-    across calls; one memo serves one ``gen`` and one ``mult``.  Without it
-    each call starts a fresh one.
+    The determinant is expanded along its first column, the recursion of
+    :func:`stablechar.series._minor`.  With u = lam' the entries are
+    gen(u_i - i + j); deleting row k and the first column leaves the matrix
+    of u^(k) = (u_0+1, ..., u_{k-1}+1, u_{k+1}, ...), again a partition, so
+    det(u) = sum_k (-1)^k gen(u_k - k) det(u^(k)), and the loop stops at the
+    first k with u_k < k.  A minor is keyed by (u, max_deficit): it is the
+    determinant of the shape u', its weight is |u| and its degree floor
+    |u| - max_deficit.  A minor that several shapes share is thus computed
+    once per ``memo``.  Pass a dict to share minors across calls; one memo
+    serves one ``gen`` and one ``mult``.  Without it each call starts a
+    fresh one.
     """
     unit = gen(0)
-    lam_t = lam.transpose().parts
-    if not lam_t:
-        return unit
     if memo is None:
         memo = {}
 
-    def minor(rows: tuple, cols: tuple) -> FormalSum:
-        key = (rows, cols, max_deficit)
+    def minor(u: tuple) -> FormalSum:
+        if not u:
+            return unit
+        key = (u, max_deficit)
         got = memo.get(key)
         if got is not None:
             return got
-        floor = None if max_deficit is None else sum(rows) + sum(cols) - max_deficit
-        first, below = rows[0], rows[1:]
+        floor = None if max_deficit is None else sum(u) - max_deficit
         expansion = []
-        for k, c in enumerate(cols):
-            g = gen(first + c) if first + c >= 0 else None
-            if not g:
-                continue
-            if not below:
-                sub = unit
-            elif k:
-                sub = minor(below, cols[:k] + cols[k + 1 :])
-            else:  # the second column becomes the first: shift it to 0
-                c0 = cols[1]
-                sub = minor(tuple(r + c0 for r in below), tuple(c - c0 for c in cols[1:]))
+        head = ()
+        for k, uk in enumerate(u):
+            if uk < k:
+                break
+            g = gen(uk - k)
+            sub = minor(head + u[k + 1 :]) if g else None
             if sub:
                 term = mult(g, sub) if floor is None else mult(g, sub, floor)
                 expansion.append((-1 if k & 1 else 1, term))
+            head += (uk + 1,)
         got = memo[key] = FormalSum._raw(unit.basis, _combination(expansion))
         return got
 
-    r = len(lam_t)
-    return minor(tuple(lam_t[i] - i for i in range(r)), tuple(range(r)))
+    return minor(lam.transpose().parts)

@@ -250,7 +250,9 @@ def _minor(u: tuple, v: tuple, scaled: tuple, memo: dict) -> int:
     Deleting row k and the first column leaves the matrix of the partition
     u^(k) = (u_0+1, ..., u_{k-1}+1, u_{k+1}, ...) over v[1:].  The entry
     index u_k - v_0 - k strictly decreases in k, so the loop stops at the
-    first negative one.
+    first negative one.  :func:`stablechar.schur.dual_jacobi_trudi` runs
+    the same recursion with v empty over a ring of formal sums; this one
+    stays separate as the integer path of the kernel coefficients.
     """
     if not u:
         return 1

@@ -408,6 +408,19 @@ def test_scan_usage():
     run_cli("scan", "--grid", "a=0..1:1/2,b=0..1:1/2", expect_code=2)
 
 
+def test_scan_zero_denominator_is_a_parse_error(tmp_path):
+    proc = run_cli("scan", "--a", "1/0", "--b", "1", expect_code=2)
+    assert proc.stdout == ""
+    assert proc.stderr == "error: zero denominator in '1/0'\n"
+    out = tmp_path / "grid.csv"
+    proc = run_cli(
+        "scan", "--grid", "a=0..1:1/0,b=0..1:1", "--csv", str(out), expect_code=2
+    )
+    assert proc.stdout == ""
+    assert proc.stderr == "error: zero denominator in '1/0'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -169,20 +169,31 @@ SHORT_SIDE_SHAPES = [
 
 
 def test_truncated_image_from_table_matches_fresh_determinant():
-    # Truncated images go through the row side when the shape has fewer
-    # rows than columns; hold every one against the column-side determinant
-    # on the unscaled generator images, from an empty memo.  Each table's
-    # state serves all shapes, and for d > 1 two deficits, so that the row
-    # images of one deficit and the minors of the other side are in its
-    # memos.
+    # Images, full or truncated, go through the row side when the shape has
+    # fewer rows than columns; hold every one against the column-side
+    # determinant on the unscaled generator images, from an empty memo.
+    # Each table's state serves all shapes, full images and for d > 1 two
+    # deficits, so that the row images of one deficit and the minors of the
+    # other side are in its memos.
     for seed, d in ((41, 1), (42, 2), (43, 3)):
         table = random_table(12, d, random.Random(seed))
         assert len({Fraction(v).denominator for _, _, v in table.to_json()["m"]}) > 2
-        for deficit in sorted({1, d}, reverse=d % 2 == 0):
+        for deficit in [None, *sorted({1, d}, reverse=d % 2 == 0)]:
             for lam in SHORT_SIDE_SHAPES:
                 expected = dual_jacobi_trudi(lam, table.generator_image, bcd_multiply, deficit)
                 got = image_from_table(table, lam, max_deficit=deficit)
                 assert got.as_sum() == expected, (seed, lam, deficit)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_row_image_keeps_quadratically_many_minors(n):
+    # The row (n) is the column-side determinant of the shape (1^n); along
+    # its first column every minor is a hook (j, 1^m) with j + m <= n, so
+    # n(n+1)/2 of them, where a first-row expansion keeps 2^n - 1.
+    table = random_table(n, 2, random.Random(36))
+    image_from_table(table, Partition((n,)), max_deficit=2)
+    _, _, memo, _, _ = embeddings._table_minors[table]
+    assert 0 < len(memo) <= n * (n + 1) // 2
 
 
 def test_image_from_table_state_follows_the_table():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -131,6 +133,12 @@ def test_text_forms():
 def test_json_forms():
     assert Partition((3, 1)).to_json() == [3, 1]
     assert Partition.from_json([]) == EMPTY
+
+
+@pytest.mark.parametrize("data", [[2.5], [True], "21", [2, "1"]])
+def test_from_json_rejects_anything_but_a_list_of_ints(data):
+    with pytest.raises(ValueError, match=re.escape(repr(data))):
+        Partition.from_json(data)
 
 
 @given(partition_strategy)
