@@ -12,15 +12,15 @@ constant directly from the triple sum over (alpha, beta, gamma), which gives
 the test suite a second, independently organized route to the same numbers.
 
 ``_nl_basis_product`` merges the (beta, gamma) pairs of every alpha into
-one order-free dict before it looks up any s_beta * s_gamma.  Given a degree
-floor from ``bcd_multiply(..., min_degree)`` it sums only the alpha that
-reach the floor.
+one order-free dict, keyed by pairs of shape ids, before it looks up any
+s_beta * s_gamma.  Given a degree floor from ``bcd_multiply(...,
+min_degree)`` it sums only the alpha that reach the floor.
 
 The memo tables live in :mod:`cache`, keyed by the parts tuples of the two
-factors and holding ``{parts: int}`` entries: ``nl`` holds full basis
-products and can be persisted; ``nl_truncated`` holds products cut below a
-floor and is never written to disk.  A cached full product also answers
-truncated requests.
+factors and holding ``{id: int}`` entries over shape ids (see
+:mod:`stablechar.partitions`): ``nl`` holds full basis products and can be
+persisted; ``nl_truncated`` holds products cut below a floor and is never
+written to disk.  A cached full product also answers truncated requests.
 
 The constants are invariant under conjugating all three shapes,
 N^lam_{mu,nu} = N^{lam'}_{mu',nu'}, and conjugation keeps |alpha|.  So on a
@@ -48,10 +48,10 @@ from .schur import (
 
 __all__ = ["newell_littlewood", "bcd_multiply"]
 
-_nl_cache: dict[tuple, dict[tuple, int]] = cache.table("nl")
+_nl_cache: dict[tuple, dict[int, int]] = cache.table("nl")
 # Products truncated below a degree floor, keyed (mu, nu, largest |alpha|);
 # never persisted, since ``nl`` holds full products only.
-_nl_truncated_cache: dict[tuple, dict[tuple, int]] = cache.table("nl_truncated")
+_nl_truncated_cache: dict[tuple, dict[int, int]] = cache.table("nl_truncated")
 
 
 def _meet(mu, nu) -> Partition:
@@ -64,7 +64,7 @@ def _nl_order(mu: tuple, nu: tuple) -> tuple[tuple, tuple]:
     return (nu, mu) if mu > nu else (mu, nu)
 
 
-def _nl_basis_product(mu: tuple, nu: tuple, min_degree: int | None = None) -> dict[tuple, int]:
+def _nl_basis_product(mu: tuple, nu: tuple, min_degree: int | None = None) -> dict[int, int]:
     """sp_mu * sp_nu for nonempty parts mu and nu, or at least its terms of
     degree >= ``min_degree``, as a memo entry.
 

@@ -7,23 +7,23 @@ dict guarantees.
 
 Two tables are owned instead, made by ``owned(name)``: ``minors`` holds the
 state of each :class:`~stablechar.series.Series` (its scaled coefficients,
-determinant minors and kappa coefficients), and ``table_minors`` that of
-each :class:`~stablechar.embeddings.EmbeddingTable` (its scaled generator
-images and two memos of dual Jacobi-Trudi minors, one for the determinants
-in the generator images and one for those in the row images, since a memo
-serves one family of entries; a row image is itself a top minor of the
-first).  They
-are weak-keyed: ``latest`` finds the state of an owner, the same object or
-an equal one, or builds it, and the state lives exactly as long as some
-caller holds its owner, with no size bound.  So a state must not reference
-its owner, or the weak key never dies; it is built from the owner's values
-(coefficients or entries) alone.  The memos of a state are only ever
-inserted into, like the tables.
+determinant minors, kappa coefficients and kappa expansions), and
+``table_minors`` that of each :class:`~stablechar.embeddings.EmbeddingTable`
+(its scaled generator images and two memos of dual Jacobi-Trudi minors, one
+for the determinants in the generator images and one for those in the row
+images, since a memo serves one family of entries; a row image is itself a
+top minor of the first).  They are weak-keyed: ``latest`` finds the state
+of an owner, the same object or an equal one, or builds it, and the state
+lives exactly as long as some caller holds its owner, with no size bound.
+So a state must not reference its owner, or the weak key never dies; it is
+built from the owner's values (coefficients or entries) alone.  The memos
+of a state are only ever inserted into, like the tables.
 
 The kernel tables (``skew``, ``product``, ``nl``, ``nl_truncated``) are
-keyed by the parts tuples of their two shapes and hold ``{parts: int}``
-entries; ``Partition`` objects are made only for returned sums, from the
-``shapes`` table (parts to one shared ``Partition``, see :mod:`schur`).
+keyed by the parts tuples of their two shapes and hold ``{id: int}``
+entries over shape ids.  The ids come from the registry of
+:mod:`stablechar.partitions`, which is not a memo table: ``clear_all``
+leaves it alone, so an id never changes its shape.
 
 Pointing the ``STABLECHAR_CACHE_DIR`` environment variable at a directory
 makes the command line load the ``PERSISTED`` tables on startup and write
@@ -32,13 +32,13 @@ treats the file as untrusted: it checks every entry and drops a bad table
 whole.  ``save`` leaves the file alone when it already holds every entry,
 that is when no persisted table grew since a clean ``load`` of it.  Only
 full products persist; the ``nl_truncated`` table of products cut below a
-degree floor stays in memory, and so do the owned tables, the ``shapes``
-table, the ``w`` table of W characters (see :mod:`kr`) and the
-``conjugate`` table (parts of a shape to the parts of its conjugate) that
-the kernels use to answer a miss from the entry of the conjugate shapes.
-Such a derived entry is stored under the key that was asked for, so the
-file holds the same keys as it would without it.  The file writes partitions as text, so its schema does not
-depend on how the tables key their entries in memory.
+degree floor stays in memory, and so do the owned tables and the ``w``
+table of W characters (see :mod:`kr`).  A miss the kernels answer from the
+entry of the conjugate shapes is stored under the key that was asked for,
+so the file holds the same keys as it would without it.  The file writes
+partitions as text, never shape ids, so its schema does not depend on how
+the tables key their entries in memory, and ids need not agree between
+processes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import os
 import tempfile
 import weakref
 
-from .partitions import EMPTY, Partition
+from .partitions import EMPTY, Partition, parts_of, shape_id, size_of
 
 ENV_VAR = "STABLECHAR_CACHE_DIR"
 _FILENAME = "stablechar-cache.json"
@@ -106,10 +106,16 @@ def _encode_partition(parts: tuple) -> str:
 
 
 def _encode_table(memo: dict) -> dict:
+    texts: dict[int, str] = {}  # each shape id's text, made once
+
+    def text(i: int) -> str:
+        got = texts.get(i)
+        if got is None:
+            got = texts[i] = _encode_partition(parts_of[i])
+        return got
+
     return {
-        "|".join(_encode_partition(k) for k in key): {
-            _encode_partition(parts): c for parts, c in value.items()
-        }
+        "|".join(_encode_partition(k) for k in key): {text(i): c for i, c in value.items()}
         for key, value in memo.items()
     }
 
@@ -119,30 +125,32 @@ def _decode_table(name: str, data) -> dict:
     if not isinstance(data, dict):
         raise ValueError("not a JSON object")
     size_ok = _SIZE_RULES[name]
-    seen: dict[str, tuple[tuple, int]] = {}
+    seen: dict[str, int] = {}
 
-    def partition(text: str) -> tuple[tuple, int]:
-        """(parts, size) of a valid partition's text; ValueError otherwise."""
-        if text not in seen:
+    def partition(text: str) -> int:
+        """The shape id of a valid partition's text; ValueError otherwise."""
+        got = seen.get(text)
+        if got is None:
             lam = Partition(int(p) for p in text.split(",")) if text else EMPTY
-            seen[text] = (lam.parts, lam.size)
-        return seen[text]
+            got = seen[text] = shape_id(lam.parts)
+        return got
 
     out = {}
     for key, value in data.items():
         try:
-            (first, s1), (second, s2) = map(partition, key.split("|"))
+            first, second = map(partition, key.split("|"))
+            s1, s2 = size_of[first], size_of[second]
             entry = {}
             for text, c in value.items():
-                parts, size = partition(text)
-                if type(c) is not int or c <= 0 or not size_ok(size, s1, s2):
+                i = partition(text)
+                if type(c) is not int or c <= 0 or not size_ok(size_of[i], s1, s2):
                     raise ValueError
-                entry[parts] = c
+                entry[i] = c
             if not entry:  # no stored product or skew expansion is zero
                 raise ValueError
         except (ValueError, AttributeError):
             raise ValueError(f"bad entry {key!r}") from None
-        out[(first, second)] = entry
+        out[(parts_of[first], parts_of[second])] = entry
     return out
 
 

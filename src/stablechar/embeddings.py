@@ -44,7 +44,7 @@ from .partitions import (
     Partition,
     subpartitions,
 )
-from .schur import FormalSum, _integers, _normalize, _skew_sum, dual_jacobi_trudi
+from .schur import BASES, FormalSum, _integers, _normalize, _skew_sum, dual_jacobi_trudi
 from .series import Series, TruncationError, dual, kappa_coefficient, random_rational
 
 __all__ = [
@@ -248,12 +248,43 @@ class Decomposition:
         return {"schema": 1, "lambda": self.source.to_json(), **self.as_sum().to_json()}
 
     @classmethod
-    def from_json(cls, data: dict) -> "Decomposition":
-        terms = {
-            Partition.from_json(t["mu"]): _normalize(Fraction(t["coeff"]))
-            for t in data["terms"]
-        }
-        return cls(Partition.from_json(data["lambda"]), data["basis"], terms)
+    def from_json(cls, data) -> "Decomposition":
+        """Decomposition from its JSON form, which is untrusted: a malformed
+        field raises ``ValueError`` naming it, and so does a shape given
+        twice."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a decomposition must be a JSON object, got {data!r:.40}")
+        try:
+            source = Partition.from_json(data.get("lambda"))
+        except ValueError as exc:
+            raise ValueError(f"decomposition field 'lambda': {exc}") from None
+        basis = data.get("basis")
+        if basis not in BASES:
+            raise ValueError(f"decomposition field 'basis' must be one of {BASES}, got {basis!r:.40}")
+        items = data.get("terms")
+        if not isinstance(items, list):
+            raise ValueError(f"decomposition field 'terms' must be a list, got {items!r:.40}")
+        terms = {}
+        for item in items:
+            if not isinstance(item, dict):
+                raise ValueError(f"decomposition term {item!r:.40} is not a JSON object")
+            try:
+                mu = Partition.from_json(item.get("mu"))
+            except ValueError as exc:
+                raise ValueError(f"decomposition term field 'mu': {exc}") from None
+            coeff = item.get("coeff")
+            try:
+                if not isinstance(coeff, str):
+                    raise TypeError
+                value = _normalize(Fraction(coeff))
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"decomposition term field 'coeff' must be a rational string, got {coeff!r:.40}"
+                ) from None
+            if mu in terms:
+                raise ValueError(f"decomposition field 'terms' has two terms for {mu.to_text()}")
+            terms[mu] = value
+        return cls(source, basis, terms)
 
 
 def image_by_skewing(p: Series, lam: Partition) -> Decomposition:

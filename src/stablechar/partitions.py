@@ -6,13 +6,17 @@ throughout.  The canonical ordering used for all deterministic output is
 size ascending, then descending lexicographic within a size.
 
 ``Partition.transpose`` counts the rows longer than each column index in
-one pass over the parts.  The tableau kernels take their conjugates from
-the memo table ``conjugate`` (see :mod:`schur`) instead, which lives only
-in memory.
+one pass over the parts.
+
+The tableau kernels also name shapes by small int ids (see "Shape ids"
+below): a memo entry is an ``{id: int}`` dict, so its sums hash ints.
+CPython caches no tuple's hash, so a dict keyed by parts tuples hashes the
+whole tuple on every lookup and insert.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -27,6 +31,11 @@ __all__ = [
     "all_even_columns",
     "all_even_rows",
     "canonical_key",
+    "shape_id",
+    "shape",
+    "conjugate_id",
+    "parts_of",
+    "size_of",
 ]
 
 
@@ -205,3 +214,59 @@ def all_even_columns(lam: Partition) -> bool:
 def all_even_rows(lam: Partition) -> bool:
     """True iff every part is even."""
     return all(p % 2 == 0 for p in lam.parts)
+
+
+# ---------------------------------------------------------------------------
+# Shape ids.
+# ---------------------------------------------------------------------------
+#
+# One append-only registry, shared by the whole process, names every shape
+# the kernels meet by a small int: ``shape_id`` registers the parts on first
+# use, and the lists below are indexed by id.  An id names the same shape
+# for the life of the process; ``cache.clear_all`` leaves the registry
+# alone, so an id held across it stays valid.  The empty shape is id 0, so
+# ``not i`` tests for it and 0 sorts first.
+
+_ids: dict[tuple, int] = {(): 0}
+parts_of: list[tuple] = [()]  # id -> parts
+size_of: list[int] = [0]  # id -> size
+_conjugates: list[int] = [0]  # id -> conjugate id, -1 until first asked
+_shapes: list[Partition | None] = [EMPTY]  # id -> shared Partition, built lazily
+_register = threading.Lock()  # two threads must not hand out one id twice
+
+
+def shape_id(parts: tuple) -> int:
+    """The id of the shape with these parts (a partition's tuple, free of
+    trailing zeros), registered on first use."""
+    got = _ids.get(parts)
+    if got is None:
+        with _register:
+            got = _ids.get(parts)
+            if got is None:
+                got = len(parts_of)
+                parts_of.append(parts)
+                size_of.append(sum(parts))
+                _conjugates.append(-1)
+                _shapes.append(None)
+                _ids[parts] = got
+    return got
+
+
+def conjugate_id(i: int) -> int:
+    """The id of the conjugate of shape ``i``."""
+    got = _conjugates[i]
+    if got < 0:
+        got = shape_id(Partition._trusted(parts_of[i]).transpose().parts)
+        _conjugates[i] = got
+        _conjugates[got] = i
+    return got
+
+
+def shape(i: int) -> Partition:
+    """The one ``Partition`` the kernels hand out for shape ``i``, so equal
+    keys of two returned sums are usually the same object and a dict lookup
+    stops at the identity check instead of calling ``Partition.__eq__``."""
+    got = _shapes[i]
+    if got is None:
+        got = _shapes[i] = Partition._trusted(parts_of[i])
+    return got

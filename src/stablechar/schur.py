@@ -14,12 +14,17 @@ test suite:
   agree on the shape and on the last strip's prefix, clamped to the length
   of the next strip, are merged and extended once.
 
-Every kernel works on parts tuples: the memo entries are ``{parts: int}``
-dicts and the sums are taken on those keys, so hashing and equality stay
-in C.  ``schur_multiply`` and ``bcd.bcd_multiply`` share one bilinear
-accumulation that scales both operands to integer coefficients, merges
-(mu, nu) and (nu, mu) into one unordered pair before any basis product is
-looked up, adds ints, and divides once per output term; the minors of
+The memo entries are keyed by the parts tuples of their shapes, but each
+entry is an ``{id: int}`` dict over shape ids (see
+:mod:`stablechar.partitions`), and every sum is taken on those ids: CPython
+caches no tuple's hash, so an accumulator keyed by parts tuples would hash
+each tuple twice per term it adds.  ``_lattice_fillings`` and
+``_strip_product`` still compute on parts; their results are converted to
+ids once, when they are stored.  ``schur_multiply`` and
+``bcd.bcd_multiply`` share one bilinear accumulation that scales both
+operands to integer coefficients, merges (mu, nu) and (nu, mu) into one
+unordered pair of ids before any basis product is looked up, adds ints, and
+divides once per output term; the minors of
 ``dual_jacobi_trudi``, the kernel slices of ``series.kappa_expansion`` and
 the weighted skew sums of ``_skew_sum`` are summed the same way.  The last
 is one sum for both skewing routes: ``embeddings.image_by_skewing`` weights
@@ -27,10 +32,8 @@ each subdiagram mu of lam by its kappa coefficient, and
 ``kr.kr_decomposition`` weights the even-row or even-column mu by 1.
 
 ``Partition`` objects are built only for the ``FormalSum`` a public
-function returns, and each comes from the in-memory ``shapes`` table (parts
-to one shared ``Partition``), so equal keys of two returned sums are
-usually the same object and a dict lookup stops at the identity check
-instead of calling ``Partition.__eq__``.
+function returns, and each is the one the registry keeps for its id
+(``partitions.shape``).
 
 Littlewood-Richardson coefficients are invariant under conjugating all
 three shapes, c^lam_{mu,nu} = c^{lam'}_{mu',nu'}.  So a memo miss first
@@ -52,9 +55,8 @@ homogeneous in the generator grading, so the floor is well defined).
 
 The memo tables of skew expansions and basis products (``skew`` and
 ``product``) live in :mod:`cache`, which can persist them; a derived entry
-is stored under its own key like any other.  The ``conjugate`` table maps
-the parts of a shape to the parts of its conjugate; it and ``shapes`` are
-never persisted.
+is stored under its own key like any other.  Conjugates are read from the
+registry, which fills each in on first use.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from math import lcm
 from typing import Callable
 
 from . import cache
-from .partitions import EMPTY, Partition
+from .partitions import EMPTY, Partition, conjugate_id, parts_of, shape, shape_id, size_of
 
 __all__ = [
     "BASES",
@@ -263,31 +265,23 @@ class FormalSum:
 # Lattice fillings of a fixed skew shape.
 # ---------------------------------------------------------------------------
 
-_skew_cache: dict[tuple, dict[tuple, int]] = cache.table("skew")
-_product_cache: dict[tuple, dict[tuple, int]] = cache.table("product")
-_conjugate_cache: dict[tuple, tuple] = cache.table("conjugate")
-_shapes: dict[tuple, Partition] = cache.table("shapes")
-
-
-def _shape(parts: tuple) -> Partition:
-    """The one ``Partition`` the kernels hand out for these parts."""
-    got = _shapes.get(parts)
-    if got is None:
-        got = _shapes[parts] = Partition._trusted(parts)
-    return got
+_skew_cache: dict[tuple, dict[int, int]] = cache.table("skew")
+_product_cache: dict[tuple, dict[int, int]] = cache.table("product")
 
 
 def _conjugate(parts: tuple) -> tuple:
     """The parts of the conjugate of the partition with these parts."""
-    got = _conjugate_cache.get(parts)
-    if got is None:
-        got = _conjugate_cache[parts] = Partition._trusted(parts).transpose().parts
-    return got
+    return parts_of[conjugate_id(shape_id(parts))]
 
 
-def _transposed(terms: dict[tuple, int], least: int = 0) -> dict[tuple, int]:
+def _transposed(terms: dict[int, int], least: int = 0) -> dict[int, int]:
     """A memo entry's terms of degree >= ``least``, every shape conjugated."""
-    return {_conjugate(t): c for t, c in terms.items() if not least or sum(t) >= least}
+    return {conjugate_id(t): c for t, c in terms.items() if not least or size_of[t] >= least}
+
+
+def _by_id(terms: dict[tuple, int]) -> dict[int, int]:
+    """Terms keyed by parts, keyed by shape id instead: a memo entry."""
+    return {shape_id(t): c for t, c in terms.items()}
 
 
 def _lattice_fillings(lamp: tuple, mup: tuple) -> dict[tuple, int]:
@@ -344,7 +338,7 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return skew_expand(lam, mu).coefficient(nu)
 
 
-def _skew(lam: tuple, mu: tuple) -> dict[tuple, int]:
+def _skew(lam: tuple, mu: tuple) -> dict[int, int]:
     """The memo entry of lam/mu, for mu inside lam."""
     key = (lam, mu)
     cached = _skew_cache.get(key)
@@ -353,7 +347,7 @@ def _skew(lam: tuple, mu: tuple) -> dict[tuple, int]:
         if conjugate is not None:
             cached = _transposed(conjugate)
         else:
-            cached = _lattice_fillings(lam, mu)
+            cached = _by_id(_lattice_fillings(lam, mu))
         _skew_cache[key] = cached
     return cached
 
@@ -368,7 +362,7 @@ def _skew_sum(lam: tuple, weights) -> dict[Partition, object]:
     # --max-size 12` from 23.5 to 25.2 MB (CPython 3.11).
     entries = [(w, _skew(lam, mu)) for mu, w in weights if w]
     den, ints = _integers([w for w, _ in entries])
-    acc: dict[tuple, int] = {}
+    acc: dict[int, int] = {}
     for (_, entry), w in zip(entries, ints):
         _accumulate(acc, entry.items(), w)
     return _terms(acc, den)
@@ -379,7 +373,7 @@ def skew_expand(lam: Partition, mu: Partition) -> FormalSum:
     if not lam.contains(mu):
         return FormalSum.zero("schur")
     return FormalSum._raw(
-        "schur", {_shape(t): c for t, c in _skew(lam.parts, mu.parts).items()}
+        "schur", {shape(t): c for t, c in _skew(lam.parts, mu.parts).items()}
     )
 
 
@@ -463,7 +457,7 @@ def _product_order(mu: tuple, nu: tuple) -> tuple[tuple, tuple]:
     return mu, nu
 
 
-def _schur_basis_product(mu: tuple, nu: tuple) -> dict[tuple, int]:
+def _schur_basis_product(mu: tuple, nu: tuple) -> dict[int, int]:
     """s_mu * s_nu for nonempty parts mu and nu, as a memo entry."""
     mu, nu = _product_order(mu, nu)
     key = (mu, nu)
@@ -474,33 +468,34 @@ def _schur_basis_product(mu: tuple, nu: tuple) -> dict[tuple, int]:
         if conjugate is not None:
             cached = _transposed(conjugate)
         elif len(nu_t) < len(nu):  # the conjugate pair has the shorter content
-            cached = _transposed(_strip_product(mu_t, nu_t))
+            cached = _transposed(_by_id(_strip_product(mu_t, nu_t)))
         else:
-            cached = _strip_product(mu, nu)
+            cached = _by_id(_strip_product(mu, nu))
         _product_cache[key] = cached
     return cached
 
 
-def _accumulate(acc: dict[tuple, int], items, factor: int, min_degree: int | None = None) -> None:
-    """Add factor * mult into ``acc`` for each (parts, mult) of degree >=
-    min_degree.  Summing on parts tuples keeps the hashing in C; the sums
-    are divided by a common denominator once, by ``_terms``."""
+def _accumulate(acc: dict[int, int], items, factor: int, min_degree: int | None = None) -> None:
+    """Add factor * mult into ``acc`` for each (shape id, mult) of degree >=
+    min_degree.  The sums are divided by a common denominator once, by
+    ``_terms``."""
     get = acc.get
     if min_degree is None:
         for key, mult in items:
             acc[key] = get(key, 0) + factor * mult
     else:
+        sizes = size_of
         for key, mult in items:
-            if sum(key) >= min_degree:
+            if sizes[key] >= min_degree:
                 acc[key] = get(key, 0) + factor * mult
 
 
-def _terms(acc: dict[tuple, int], den: int = 1) -> dict[Partition, object]:
+def _terms(acc: dict[int, int], den: int = 1) -> dict[Partition, object]:
     """The nonzero sums of ``acc``, each divided by ``den``, keyed by the
-    shared ``Partition`` of each shape."""
+    shared ``Partition`` of each shape id."""
     if den == 1:
-        return {_shape(key): c for key, c in acc.items() if c}
-    return {_shape(key): _normalize(Fraction(c, den)) for key, c in acc.items() if c}
+        return {shape(key): c for key, c in acc.items() if c}
+    return {shape(key): _normalize(Fraction(c, den)) for key, c in acc.items() if c}
 
 
 def _combination(pairs) -> dict:
@@ -509,30 +504,31 @@ def _combination(pairs) -> dict:
     den = 1
     for _, d, _, _ in scaled:
         den = lcm(den, d)
-    acc: dict[tuple, int] = {}
+    acc: dict[int, int] = {}
     for c, d, ints, terms in scaled:
-        _accumulate(acc, zip([lam.parts for lam in terms], ints), c * (den // d))
+        _accumulate(acc, zip([shape_id(lam.parts) for lam in terms], ints), c * (den // d))
     return _terms(acc, den)
 
 
-def _pair_products(pairs: dict, basis_product, min_degree: int | None = None) -> dict[tuple, int]:
+def _pair_products(pairs: dict, basis_product, min_degree: int | None = None) -> dict[int, int]:
     """The sum of factor * basis_product(p, q) over ``{(p, q): factor}``.
 
-    Each pair is unordered, stored with p <= q, so () can only come first;
-    a product with the empty shape is the other factor.  With ``min_degree``
-    set, ``basis_product`` gets the floor as a third argument and terms
-    below it are dropped.
+    p and q are shape ids and ``basis_product`` takes their parts.  Each
+    pair is unordered, stored with p <= q, so the empty shape (id 0) can
+    only come first; a product with it is the other factor.  With
+    ``min_degree`` set, ``basis_product`` gets the floor as a third argument
+    and terms below it are dropped.
     """
-    acc: dict[tuple, int] = {}
+    acc: dict[int, int] = {}
     for (p, q), factor in pairs.items():
         if not factor:
             continue
         if not p:
             products = {q: 1}
         elif min_degree is None:
-            products = basis_product(p, q)
+            products = basis_product(parts_of[p], parts_of[q])
         else:
-            products = basis_product(p, q, min_degree)
+            products = basis_product(parts_of[p], parts_of[q], min_degree)
         _accumulate(acc, products.items(), factor, min_degree)
     return acc
 
@@ -548,10 +544,10 @@ def _bilinear(a: FormalSum, b: FormalSum, basis_product, min_degree: int | None 
     """
     den_a, coeffs_a = _integers(a.terms.values())
     den_b, coeffs_b = _integers(b.terms.values())
-    terms_b = [(nu.parts, nu.size, cn) for nu, cn in zip(b.terms, coeffs_b)]
+    terms_b = [(shape_id(nu.parts), nu.size, cn) for nu, cn in zip(b.terms, coeffs_b)]
     pairs: dict[tuple, int] = {}
     for mu, cm in zip(a.terms, coeffs_a):
-        p, size = mu.parts, mu.size
+        p, size = shape_id(mu.parts), mu.size
         for q, nu_size, cn in terms_b:
             if min_degree is not None and size + nu_size < min_degree:
                 continue

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stablechar import bcd, cache
 from stablechar.bcd import bcd_multiply, newell_littlewood
-from stablechar.partitions import EMPTY, Partition, partitions_of, partitions_through
+from stablechar.partitions import EMPTY, Partition, partitions_of, partitions_through, parts_of
 from stablechar.schur import BasisMismatchError, FormalSum, omega, schur_multiply
 
 
@@ -139,9 +139,9 @@ def test_truncated_rational_products_match_full_products():
             assert product == full.restricted(min_degree=floor), floor
     assert cache.table("nl_truncated")
     # Only full products reach the persisted table, whose entries are keyed
-    # by parts tuples.
+    # by shape ids; the registry names their parts.
     stored = {
-        key: {Partition(t): c for t, c in value.items()}
+        key: {Partition(parts_of[t]): c for t, c in value.items()}
         for key, value in cache.table("nl").items()
     }
     cache.clear_all()

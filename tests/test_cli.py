@@ -11,7 +11,7 @@ import stablechar
 from stablechar import cache, checks, cli
 from stablechar.bcd import bcd_multiply
 from stablechar.embeddings import Decomposition
-from stablechar.partitions import Partition
+from stablechar.partitions import Partition, parts_of
 from stablechar.schur import FormalSum, schur_multiply, skew_expand
 
 # The child processes import the same copy of the package as this one.
@@ -524,7 +524,9 @@ def test_cache_file_with_partition_keyed_entries_answers_identically(tmp_path):
     assert (tmp_path / "again" / "stablechar-cache.json").read_bytes() == original
     for name, memo in loaded.items():
         for (first, second), entry in memo.items():
-            assert entry == _fresh_entry(name, first, second), (name, first, second)
+            # Entries are keyed by shape ids; the registry names their parts.
+            by_parts = {parts_of[i]: c for i, c in entry.items()}
+            assert by_parts == _fresh_entry(name, first, second), (name, first, second)
     commands = [
         ("verify", "--prop", "eqquad", "--max", "2"),
         ("expand", "--multiply", "3,1/2,2"),
@@ -535,6 +537,20 @@ def test_cache_file_with_partition_keyed_entries_answers_identically(tmp_path):
         warm = run_cli(*args, env_extra={"STABLECHAR_CACHE_DIR": str(old)})
         cold = run_cli(*args, env_extra={"STABLECHAR_CACHE_DIR": str(tmp_path / "new")})
         assert (warm.stdout, warm.stderr) == (cold.stdout, cold.stderr), args
+
+
+# Written by ``verify --prop kr --max 3`` then ``verify --prop eqquad --max 2``
+# into an empty cache directory, before the memo entries were keyed by shape
+# ids.
+KR_EQQUAD_CACHE = Path(__file__).parent / "data" / "cache-kr-eqquad.json"
+
+
+def test_cache_file_bytes_do_not_depend_on_how_entries_are_keyed(tmp_path):
+    env = {"STABLECHAR_CACHE_DIR": str(tmp_path)}
+    run_cli("verify", "--prop", "kr", "--max", "3", env_extra=env)
+    run_cli("verify", "--prop", "eqquad", "--max", "2", env_extra=env)
+    written = (tmp_path / "stablechar-cache.json").read_bytes()
+    assert written == KR_EQQUAD_CACHE.read_bytes()
 
 
 def test_cache_file_is_rewritten_only_when_it_changes(tmp_path):

@@ -455,6 +455,25 @@ def test_decomposition_json_round_trip():
     assert rebuilt.terms == dec.terms
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        (lambda data: data["terms"][0].update(coeff="1/0"), "'coeff'"),
+        (lambda data: data["terms"][0].update(coeff=0.5), "'coeff'"),
+        (lambda data: data.pop("terms"), "'terms'"),
+        (lambda data: data["terms"][1].update(mu=[1, 2]), "'mu'"),
+        (lambda data: data.pop("lambda"), "'lambda'"),
+        (lambda data: data.update(basis="gl"), "'basis'"),
+        (lambda data: data["terms"].append(dict(data["terms"][0])), "'terms'"),
+    ],
+)
+def test_decomposition_from_json_names_the_bad_field(change, field):
+    data = json.loads(json.dumps(image_by_skewing(Series.one(), Partition((2, 1))).to_json()))
+    change(data)
+    with pytest.raises(ValueError, match=field):
+        Decomposition.from_json(data)
+
+
 def test_decomposition_leading_coefficient_enforced():
     with pytest.raises(ValueError):
         Decomposition(Partition((2,)), "sp", {Partition((2,)): 2})

@@ -4,18 +4,26 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import partition_count
+from stablechar import cache
+from stablechar.bcd import bcd_multiply
 from stablechar.partitions import (
     EMPTY,
     Partition,
     all_even_columns,
     all_even_rows,
     canonical_key,
+    conjugate_id,
     contains,
     leq_extended,
     partitions_of,
     partitions_through,
+    parts_of,
+    shape,
+    shape_id,
+    size_of,
     subpartitions,
 )
+from stablechar.schur import FormalSum
 
 partition_strategy = st.lists(st.integers(1, 6), max_size=6).map(
     lambda parts: Partition(sorted(parts, reverse=True))
@@ -151,3 +159,36 @@ def test_text_round_trip(lam):
 def test_transpose_involution_random(lam):
     assert lam.transpose().transpose() == lam
     assert lam.transpose().size == lam.size
+
+
+def test_the_empty_shape_is_id_zero():
+    assert shape_id(()) == 0
+    assert parts_of[0] == () and size_of[0] == 0
+    assert shape(0) is EMPTY
+    assert conjugate_id(0) == 0
+
+
+def test_shape_ids_survive_clearing_the_memo_tables():
+    product = bcd_multiply(
+        FormalSum.single("sp", Partition((3, 1))), FormalSum.single("sp", Partition((2, 2)))
+    )
+    named = {
+        i: parts_of[i] for entry in cache.table("nl").values() for i in entry
+    }
+    assert named and all(i for i in named)
+    shared = {lam.parts: lam for lam in product.terms}
+    cache.clear_all()
+    for i, parts in named.items():
+        assert parts_of[i] == parts and shape_id(parts) == i
+        assert size_of[i] == sum(parts)
+        assert shape(i) is shared[parts]  # the same shared Partition
+    assert bcd_multiply(
+        FormalSum.single("sp", Partition((2, 2))), FormalSum.single("sp", Partition((3, 1)))
+    ) == product
+
+
+@given(partition_strategy)
+def test_conjugate_id_names_the_transpose(lam):
+    i = shape_id(lam.parts)
+    assert parts_of[conjugate_id(i)] == lam.transpose().parts
+    assert conjugate_id(conjugate_id(i)) == i

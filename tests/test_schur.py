@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import jt_product, leibniz_dual_jacobi_trudi
-from stablechar import cache, schur
-from stablechar.partitions import EMPTY, Partition, partitions_of, partitions_through, subpartitions
+from stablechar import bcd, cache, schur
+from stablechar.partitions import (
+    EMPTY,
+    Partition,
+    partitions_of,
+    partitions_through,
+    parts_of,
+    subpartitions,
+)
 from stablechar.schur import (
     BasisMismatchError,
     FormalSum,
@@ -160,6 +167,29 @@ def test_products_derived_from_conjugate_entries(monkeypatch):
         assert derived == fresh == jt_product(long_, short), (mu, nu)
     assert ((1, 1, 1), (1, 1, 1, 1)) in conjugate_orientation
     assert ((2, 1, 1, 1), (1, 1, 1)) in conjugate_orientation
+
+
+def test_transposed_entries_conjugate_every_shape():
+    # A memo entry keyed by shape ids, conjugated, equals the entry of its
+    # parts with every shape transposed; ``least`` drops the lower degrees.
+    for mu in partitions_through(3):
+        for nu in partitions_through(3):
+            if not (mu and nu):
+                continue
+            top = mu.size + nu.size
+            for entry in (
+                schur._schur_basis_product(mu.parts, nu.parts),
+                bcd._nl_basis_product(mu.parts, nu.parts),
+            ):
+                by_parts = {parts_of[i]: c for i, c in entry.items()}
+                for least in (0, top - 2):
+                    want = {
+                        Partition(t).transpose().parts: c
+                        for t, c in by_parts.items()
+                        if sum(t) >= least
+                    }
+                    got = schur._transposed(entry, least)
+                    assert {parts_of[i]: c for i, c in got.items()} == want, (mu, nu, least)
 
 
 def test_skew_expand_examples():
