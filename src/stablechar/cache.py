@@ -7,12 +7,12 @@ dict guarantees.
 
 Two tables are owned instead, made by ``owned(name)``: ``minors`` holds the
 state of each :class:`~stablechar.series.Series` (its scaled coefficients,
-determinant minors, kappa coefficients and kappa expansions), and
-``table_minors`` that of each :class:`~stablechar.embeddings.EmbeddingTable`
-(its scaled generator images and two memos of dual Jacobi-Trudi minors, one
-for the determinants in the generator images and one for those in the row
-images, since a memo serves one family of entries; a row image is itself a
-top minor of the first).  They are weak-keyed: ``latest`` finds the state
+determinant minors and kappa coefficients), and ``table_minors`` that of
+each :class:`~stablechar.embeddings.EmbeddingTable` (its scaled generator
+images and two memos of dual Jacobi-Trudi minors, one for the determinants
+in the generator images and one for those in the row images, since a memo
+serves one family of entries; a row image is itself a top minor of the
+first).  They are weak-keyed: ``latest`` finds the state
 of an owner, the same object or an equal one, or builds it, and the state
 lives exactly as long as some caller holds its owner, with no size bound.
 So a state must not reference its owner, or the weak key never dies; it is
@@ -23,7 +23,9 @@ The kernel tables (``skew``, ``product``, ``nl``, ``nl_truncated``) are
 keyed by the parts tuples of their two shapes and hold ``{id: int}``
 entries over shape ids.  The ids come from the registry of
 :mod:`stablechar.partitions`, which is not a memo table: ``clear_all``
-leaves it alone, so an id never changes its shape.
+leaves it alone, so an id never changes its shape.  Clearing therefore
+frees the entries but not the registry, which keeps the parts and the
+shared ``Partition`` of every distinct shape the process has met.
 
 Pointing the ``STABLECHAR_CACHE_DIR`` environment variable at a directory
 makes the command line load the ``PERSISTED`` tables on startup and write
@@ -48,7 +50,7 @@ import os
 import tempfile
 import weakref
 
-from .partitions import EMPTY, Partition, parts_of, shape_id, size_of
+from .partitions import EMPTY, Partition, _parts_of, _shape_id
 
 ENV_VAR = "STABLECHAR_CACHE_DIR"
 _FILENAME = "stablechar-cache.json"
@@ -90,7 +92,9 @@ def latest(memo: weakref.WeakKeyDictionary, owner, build):
 
 
 def clear_all() -> None:
-    """Empty every memo table (the modules keep their references)."""
+    """Empty every memo table (the modules keep their references).  The
+    shape registry of :mod:`stablechar.partitions` is not a table and keeps
+    every shape it holds."""
     global _in_sync
     _in_sync = None
     for memo in _TABLES.values():
@@ -111,7 +115,7 @@ def _encode_table(memo: dict) -> dict:
     def text(i: int) -> str:
         got = texts.get(i)
         if got is None:
-            got = texts[i] = _encode_partition(parts_of[i])
+            got = texts[i] = _encode_partition(_parts_of[i])
         return got
 
     return {
@@ -121,37 +125,40 @@ def _encode_table(memo: dict) -> dict:
 
 
 def _decode_table(name: str, data) -> dict:
-    """Decode one persisted table; ValueError names the first bad entry."""
+    """Decode one persisted table; ValueError names the first bad entry.
+
+    The entries are checked on the texts of their shapes; only a table that
+    passes whole has its shapes registered as ids, so a dropped table adds
+    nothing to the registry."""
     if not isinstance(data, dict):
         raise ValueError("not a JSON object")
     size_ok = _SIZE_RULES[name]
-    seen: dict[str, int] = {}
+    seen: dict[str, tuple[tuple, int]] = {}
 
-    def partition(text: str) -> int:
-        """The shape id of a valid partition's text; ValueError otherwise."""
-        got = seen.get(text)
-        if got is None:
+    def partition(text: str) -> tuple[tuple, int]:
+        """(parts, size) of a valid partition's text; ValueError otherwise."""
+        if text not in seen:
             lam = Partition(int(p) for p in text.split(",")) if text else EMPTY
-            got = seen[text] = shape_id(lam.parts)
-        return got
+            seen[text] = (lam.parts, lam.size)
+        return seen[text]
 
     out = {}
     for key, value in data.items():
         try:
-            first, second = map(partition, key.split("|"))
-            s1, s2 = size_of[first], size_of[second]
+            (first, s1), (second, s2) = map(partition, key.split("|"))
             entry = {}
             for text, c in value.items():
-                i = partition(text)
-                if type(c) is not int or c <= 0 or not size_ok(size_of[i], s1, s2):
+                _, size = partition(text)
+                if type(c) is not int or c <= 0 or not size_ok(size, s1, s2):
                     raise ValueError
-                entry[i] = c
+                entry[text] = c
             if not entry:  # no stored product or skew expansion is zero
                 raise ValueError
         except (ValueError, AttributeError):
             raise ValueError(f"bad entry {key!r}") from None
-        out[(parts_of[first], parts_of[second])] = entry
-    return out
+        out[(first, second)] = entry
+    ids = {text: _shape_id(parts) for text, (parts, _) in seen.items()}
+    return {key: {ids[text]: c for text, c in entry.items()} for key, entry in out.items()}
 
 
 def cache_file(directory: str) -> str:

@@ -31,11 +31,6 @@ __all__ = [
     "all_even_columns",
     "all_even_rows",
     "canonical_key",
-    "shape_id",
-    "shape",
-    "conjugate_id",
-    "parts_of",
-    "size_of",
 ]
 
 
@@ -221,21 +216,25 @@ def all_even_rows(lam: Partition) -> bool:
 # ---------------------------------------------------------------------------
 #
 # One append-only registry, shared by the whole process, names every shape
-# the kernels meet by a small int: ``shape_id`` registers the parts on first
+# the kernels meet by a small int: ``_shape_id`` registers the parts on first
 # use, and the lists below are indexed by id.  An id names the same shape
 # for the life of the process; ``cache.clear_all`` leaves the registry
-# alone, so an id held across it stays valid.  The empty shape is id 0, so
-# ``not i`` tests for it and 0 sorts first.
+# alone, so an id held across it stays valid.  The registry therefore only
+# grows: it keeps the parts, size and shared ``Partition`` of every distinct
+# shape met since the process started, and clearing the memo tables frees
+# none of them.  The empty shape is id 0, so ``not i`` tests for it and 0
+# sorts first.  The names are internal to the kernels (``schur``, ``bcd``,
+# ``series``, ``cache``); the lists must only ever be appended to, here.
 
 _ids: dict[tuple, int] = {(): 0}
-parts_of: list[tuple] = [()]  # id -> parts
-size_of: list[int] = [0]  # id -> size
+_parts_of: list[tuple] = [()]  # id -> parts
+_size_of: list[int] = [0]  # id -> size
 _conjugates: list[int] = [0]  # id -> conjugate id, -1 until first asked
 _shapes: list[Partition | None] = [EMPTY]  # id -> shared Partition, built lazily
 _register = threading.Lock()  # two threads must not hand out one id twice
 
 
-def shape_id(parts: tuple) -> int:
+def _shape_id(parts: tuple) -> int:
     """The id of the shape with these parts (a partition's tuple, free of
     trailing zeros), registered on first use."""
     got = _ids.get(parts)
@@ -243,30 +242,30 @@ def shape_id(parts: tuple) -> int:
         with _register:
             got = _ids.get(parts)
             if got is None:
-                got = len(parts_of)
-                parts_of.append(parts)
-                size_of.append(sum(parts))
+                got = len(_parts_of)
+                _parts_of.append(parts)
+                _size_of.append(sum(parts))
                 _conjugates.append(-1)
                 _shapes.append(None)
                 _ids[parts] = got
     return got
 
 
-def conjugate_id(i: int) -> int:
+def _conjugate_id(i: int) -> int:
     """The id of the conjugate of shape ``i``."""
     got = _conjugates[i]
     if got < 0:
-        got = shape_id(Partition._trusted(parts_of[i]).transpose().parts)
+        got = _shape_id(Partition._trusted(_parts_of[i]).transpose().parts)
         _conjugates[i] = got
         _conjugates[got] = i
     return got
 
 
-def shape(i: int) -> Partition:
+def _shape(i: int) -> Partition:
     """The one ``Partition`` the kernels hand out for shape ``i``, so equal
     keys of two returned sums are usually the same object and a dict lookup
     stops at the identity check instead of calling ``Partition.__eq__``."""
     got = _shapes[i]
     if got is None:
-        got = _shapes[i] = Partition._trusted(parts_of[i])
+        got = _shapes[i] = Partition._trusted(_parts_of[i])
     return got

@@ -33,7 +33,7 @@ each subdiagram mu of lam by its kappa coefficient, and
 
 ``Partition`` objects are built only for the ``FormalSum`` a public
 function returns, and each is the one the registry keeps for its id
-(``partitions.shape``).
+(``partitions._shape``).
 
 Littlewood-Richardson coefficients are invariant under conjugating all
 three shapes, c^lam_{mu,nu} = c^{lam'}_{mu',nu'}.  So a memo miss first
@@ -66,7 +66,7 @@ from math import lcm
 from typing import Callable
 
 from . import cache
-from .partitions import EMPTY, Partition, conjugate_id, parts_of, shape, shape_id, size_of
+from .partitions import EMPTY, Partition, _conjugate_id, _parts_of, _shape, _shape_id, _size_of
 
 __all__ = [
     "BASES",
@@ -271,17 +271,17 @@ _product_cache: dict[tuple, dict[int, int]] = cache.table("product")
 
 def _conjugate(parts: tuple) -> tuple:
     """The parts of the conjugate of the partition with these parts."""
-    return parts_of[conjugate_id(shape_id(parts))]
+    return _parts_of[_conjugate_id(_shape_id(parts))]
 
 
 def _transposed(terms: dict[int, int], least: int = 0) -> dict[int, int]:
     """A memo entry's terms of degree >= ``least``, every shape conjugated."""
-    return {conjugate_id(t): c for t, c in terms.items() if not least or size_of[t] >= least}
+    return {_conjugate_id(t): c for t, c in terms.items() if not least or _size_of[t] >= least}
 
 
 def _by_id(terms: dict[tuple, int]) -> dict[int, int]:
     """Terms keyed by parts, keyed by shape id instead: a memo entry."""
-    return {shape_id(t): c for t, c in terms.items()}
+    return {_shape_id(t): c for t, c in terms.items()}
 
 
 def _lattice_fillings(lamp: tuple, mup: tuple) -> dict[tuple, int]:
@@ -373,7 +373,7 @@ def skew_expand(lam: Partition, mu: Partition) -> FormalSum:
     if not lam.contains(mu):
         return FormalSum.zero("schur")
     return FormalSum._raw(
-        "schur", {shape(t): c for t, c in _skew(lam.parts, mu.parts).items()}
+        "schur", {_shape(t): c for t, c in _skew(lam.parts, mu.parts).items()}
     )
 
 
@@ -484,7 +484,7 @@ def _accumulate(acc: dict[int, int], items, factor: int, min_degree: int | None 
         for key, mult in items:
             acc[key] = get(key, 0) + factor * mult
     else:
-        sizes = size_of
+        sizes = _size_of
         for key, mult in items:
             if sizes[key] >= min_degree:
                 acc[key] = get(key, 0) + factor * mult
@@ -494,8 +494,8 @@ def _terms(acc: dict[int, int], den: int = 1) -> dict[Partition, object]:
     """The nonzero sums of ``acc``, each divided by ``den``, keyed by the
     shared ``Partition`` of each shape id."""
     if den == 1:
-        return {shape(key): c for key, c in acc.items() if c}
-    return {shape(key): _normalize(Fraction(c, den)) for key, c in acc.items() if c}
+        return {_shape(key): c for key, c in acc.items() if c}
+    return {_shape(key): _normalize(Fraction(c, den)) for key, c in acc.items() if c}
 
 
 def _combination(pairs) -> dict:
@@ -506,7 +506,7 @@ def _combination(pairs) -> dict:
         den = lcm(den, d)
     acc: dict[int, int] = {}
     for c, d, ints, terms in scaled:
-        _accumulate(acc, zip([shape_id(lam.parts) for lam in terms], ints), c * (den // d))
+        _accumulate(acc, zip([_shape_id(lam.parts) for lam in terms], ints), c * (den // d))
     return _terms(acc, den)
 
 
@@ -526,9 +526,9 @@ def _pair_products(pairs: dict, basis_product, min_degree: int | None = None) ->
         if not p:
             products = {q: 1}
         elif min_degree is None:
-            products = basis_product(parts_of[p], parts_of[q])
+            products = basis_product(_parts_of[p], _parts_of[q])
         else:
-            products = basis_product(parts_of[p], parts_of[q], min_degree)
+            products = basis_product(_parts_of[p], _parts_of[q], min_degree)
         _accumulate(acc, products.items(), factor, min_degree)
     return acc
 
@@ -544,10 +544,10 @@ def _bilinear(a: FormalSum, b: FormalSum, basis_product, min_degree: int | None 
     """
     den_a, coeffs_a = _integers(a.terms.values())
     den_b, coeffs_b = _integers(b.terms.values())
-    terms_b = [(shape_id(nu.parts), nu.size, cn) for nu, cn in zip(b.terms, coeffs_b)]
+    terms_b = [(_shape_id(nu.parts), nu.size, cn) for nu, cn in zip(b.terms, coeffs_b)]
     pairs: dict[tuple, int] = {}
     for mu, cm in zip(a.terms, coeffs_a):
-        p, size = shape_id(mu.parts), mu.size
+        p, size = _shape_id(mu.parts), mu.size
         for q, nu_size, cn in terms_b:
             if min_degree is not None and size + nu_size < min_degree:
                 continue

@@ -22,8 +22,7 @@ for neighbouring shapes.  The coefficients are scaled to integers first
 (a_k times L^k, with L the lcm of the denominators), so every minor is an
 int and a result is divided once, by L^{|u| - |v|}.  The minors are
 memoized per series in the owned table ``minors`` of :mod:`cache`, kept
-while the caller holds the series (or an equal one) and never persisted,
-and so are the series' kappa coefficients and kappa expansions.
+while the caller holds the series (or an equal one) and never persisted.
 """
 
 from __future__ import annotations
@@ -31,17 +30,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import cache
 from .partitions import (
     EMPTY,
     Partition,
+    _conjugate_id,
     _partitions_tuples,
-    conjugate_id,
+    _shape_id,
     partitions_of,
-    shape_id,
     subpartitions,
 )
 from .schur import FormalSum, _integers, _pair_products, _schur_basis_product, _terms
@@ -215,7 +213,7 @@ class KappaExpansion:
     """Degree-graded Schur expansion, exact through total degree ``cutoff``."""
 
     cutoff: int
-    graded: Mapping[int, FormalSum]
+    graded: dict[int, FormalSum]
 
     def slice(self, degree: int) -> FormalSum:
         if degree < 0 or degree > self.cutoff:
@@ -238,20 +236,18 @@ class KappaExpansion:
 _minors = cache.owned("minors")
 
 
-def _minor_state(p: Series) -> tuple[int, tuple, dict, dict, dict]:
+def _minor_state(p: Series) -> tuple[int, tuple, dict, dict]:
     """(L, (a_k L^k)_k, empty memo of scaled minors, empty memo of kappa
-    coefficients, empty memo of kappa expansions) for p, where L is the lcm
-    of the denominators of p.  It holds values only, never p: p is its weak
-    key in ``minors``."""
+    coefficients) for p, where L is the lcm of the denominators of p.  It
+    holds values only, never p: p is its weak key in ``minors``."""
     den, nums = _integers(p.coeffs)
     scaled = tuple(c * den ** (k - 1) if k else 1 for k, c in enumerate(nums))
-    return den, scaled, {}, {}, {}
+    return den, scaled, {}, {}
 
 
-def _state(p: Series) -> tuple[int, tuple, dict, dict, dict]:
+def _state(p: Series) -> tuple[int, tuple, dict, dict]:
     """p's state in ``minors``, built on first use; the kappa memo, keyed by
-    parts, belongs to :func:`kappa_coefficient`, and the expansion memo,
-    keyed by cutoff, to :func:`kappa_expansion`."""
+    parts, belongs to :func:`kappa_coefficient`."""
     return cache.latest(_minors, p, _minor_state)
 
 
@@ -305,7 +301,7 @@ def _det(p: Series, u: tuple, v: tuple = ()):
         return 1
     # The largest index in the matrix, at row 0 and column n - 1.
     p.coeff(u[0] - (v[n - 1] if len(v) == n else 0) + n - 1)
-    den, scaled, memo, _, _ = _state(p)
+    den, scaled, memo, _ = _state(p)
     d = _minor(u, v, scaled, memo)
     if den == 1:
         return d
@@ -347,9 +343,9 @@ def _scaled_minors(p: Series, cutoff: int) -> tuple[int, list[dict[int, int]]]:
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     p.coeff(min(cutoff, p.order + 1))
-    den, scaled, memo, _, _ = _state(p)
+    den, scaled, memo, _ = _state(p)
     minors = [
-        {shape_id(u): m for u in _partitions_tuples(d, d) if (m := _minor(u, (), scaled, memo))}
+        {_shape_id(u): m for u in _partitions_tuples(d, d) if (m := _minor(u, (), scaled, memo))}
         for d in range(cutoff + 1)
     ]
     return den, minors
@@ -372,20 +368,12 @@ def kappa_expansion(p: Series, cutoff: int) -> KappaExpansion:
     each even-column shape eps of size d - |lam| as one unordered pair of
     shape ids (lam, eps) with factor m_lam L^{|eps|}; the products of the
     pairs go into one accumulator, divided once by L^d.
-
-    The expansion is kept in p's state, keyed by the cutoff, so a second
-    call on a series the caller still holds reads it back; ``graded`` is
-    therefore read-only.
     """
-    kept = _state(p)[4]
-    got = kept.get(cutoff)
-    if got is not None:
-        return got
     den, minors = _scaled_minors(p, cutoff)
     # The even-column shapes of size 2h: the conjugates of the doubled
     # partitions of h.
     evens = [
-        [conjugate_id(shape_id(tuple(2 * p for p in mu))) for mu in _partitions_tuples(h, h)]
+        [_conjugate_id(_shape_id(tuple(2 * p for p in mu))) for mu in _partitions_tuples(h, h)]
         for h in range(cutoff // 2 + 1)
     ]
     graded = {}
@@ -399,8 +387,7 @@ def kappa_expansion(p: Series, cutoff: int) -> KappaExpansion:
                     pairs[pair] = pairs.get(pair, 0) + m * scale
         total = _pair_products(pairs, _schur_basis_product)
         graded[d] = FormalSum._raw("schur", _terms(total, den**d))
-    got = kept[cutoff] = KappaExpansion(cutoff, MappingProxyType(graded))
-    return got
+    return KappaExpansion(cutoff, graded)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stablechar import bcd, cache
 from stablechar.bcd import bcd_multiply, newell_littlewood
-from stablechar.partitions import EMPTY, Partition, partitions_of, partitions_through, parts_of
+from stablechar.partitions import EMPTY, Partition, _parts_of, partitions_of, partitions_through
 from stablechar.schur import BasisMismatchError, FormalSum, omega, schur_multiply
 
 
@@ -141,7 +141,7 @@ def test_truncated_rational_products_match_full_products():
     # Only full products reach the persisted table, whose entries are keyed
     # by shape ids; the registry names their parts.
     stored = {
-        key: {Partition(parts_of[t]): c for t, c in value.items()}
+        key: {Partition(_parts_of[t]): c for t, c in value.items()}
         for key, value in cache.table("nl").items()
     }
     cache.clear_all()

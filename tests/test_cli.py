@@ -11,7 +11,7 @@ import stablechar
 from stablechar import cache, checks, cli
 from stablechar.bcd import bcd_multiply
 from stablechar.embeddings import Decomposition
-from stablechar.partitions import Partition, parts_of
+from stablechar.partitions import Partition, _ids, _parts_of
 from stablechar.schur import FormalSum, schur_multiply, skew_expand
 
 # The child processes import the same copy of the package as this one.
@@ -525,7 +525,7 @@ def test_cache_file_with_partition_keyed_entries_answers_identically(tmp_path):
     for name, memo in loaded.items():
         for (first, second), entry in memo.items():
             # Entries are keyed by shape ids; the registry names their parts.
-            by_parts = {parts_of[i]: c for i, c in entry.items()}
+            by_parts = {_parts_of[i]: c for i, c in entry.items()}
             assert by_parts == _fresh_entry(name, first, second), (name, first, second)
     commands = [
         ("verify", "--prop", "eqquad", "--max", "2"),
@@ -581,6 +581,22 @@ def test_cache_file_with_bad_table_is_rewritten_clean(tmp_path):
     assert "3,2,2|1,1" in data["skew"]
     proc = run_cli("expand", "--skew", "3,2,2/1,1", env_extra=env)
     assert proc.stderr == ""
+
+
+def test_dropped_cache_table_registers_no_shape(tmp_path):
+    # The bad entry's shapes come before the bad size is seen; shapes of a
+    # table that loads are registered.
+    data = {
+        "schema": 1,
+        "skew": {"33,31|1": {"33,30": 1, "32,31": 1}},
+        "product": {"37,29|1": {"38,29": 1, "41,40": 5}},
+    }
+    (tmp_path / "stablechar-cache.json").write_text(json.dumps(data), encoding="utf-8")
+    [warning] = cache.load(str(tmp_path))
+    assert "ignoring table 'product'" in warning
+    assert (33, 30) in _ids and (32, 31) in _ids
+    assert (38, 29) not in _ids and (41, 40) not in _ids
+    assert list(cache.table("product")) == []
 
 
 def test_unknown_command_exits_two():

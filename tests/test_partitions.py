@@ -9,18 +9,18 @@ from stablechar.bcd import bcd_multiply
 from stablechar.partitions import (
     EMPTY,
     Partition,
+    _conjugate_id,
+    _parts_of,
+    _shape,
+    _shape_id,
+    _size_of,
     all_even_columns,
     all_even_rows,
     canonical_key,
-    conjugate_id,
     contains,
     leq_extended,
     partitions_of,
     partitions_through,
-    parts_of,
-    shape,
-    shape_id,
-    size_of,
     subpartitions,
 )
 from stablechar.schur import FormalSum
@@ -162,10 +162,10 @@ def test_transpose_involution_random(lam):
 
 
 def test_the_empty_shape_is_id_zero():
-    assert shape_id(()) == 0
-    assert parts_of[0] == () and size_of[0] == 0
-    assert shape(0) is EMPTY
-    assert conjugate_id(0) == 0
+    assert _shape_id(()) == 0
+    assert _parts_of[0] == () and _size_of[0] == 0
+    assert _shape(0) is EMPTY
+    assert _conjugate_id(0) == 0
 
 
 def test_shape_ids_survive_clearing_the_memo_tables():
@@ -173,15 +173,15 @@ def test_shape_ids_survive_clearing_the_memo_tables():
         FormalSum.single("sp", Partition((3, 1))), FormalSum.single("sp", Partition((2, 2)))
     )
     named = {
-        i: parts_of[i] for entry in cache.table("nl").values() for i in entry
+        i: _parts_of[i] for entry in cache.table("nl").values() for i in entry
     }
     assert named and all(i for i in named)
     shared = {lam.parts: lam for lam in product.terms}
     cache.clear_all()
     for i, parts in named.items():
-        assert parts_of[i] == parts and shape_id(parts) == i
-        assert size_of[i] == sum(parts)
-        assert shape(i) is shared[parts]  # the same shared Partition
+        assert _parts_of[i] == parts and _shape_id(parts) == i
+        assert _size_of[i] == sum(parts)
+        assert _shape(i) is shared[parts]  # the same shared Partition
     assert bcd_multiply(
         FormalSum.single("sp", Partition((2, 2))), FormalSum.single("sp", Partition((3, 1)))
     ) == product
@@ -189,6 +189,6 @@ def test_shape_ids_survive_clearing_the_memo_tables():
 
 @given(partition_strategy)
 def test_conjugate_id_names_the_transpose(lam):
-    i = shape_id(lam.parts)
-    assert parts_of[conjugate_id(i)] == lam.transpose().parts
-    assert conjugate_id(conjugate_id(i)) == i
+    i = _shape_id(lam.parts)
+    assert _parts_of[_conjugate_id(i)] == lam.transpose().parts
+    assert _conjugate_id(_conjugate_id(i)) == i

@@ -9,9 +9,9 @@ from stablechar import bcd, cache, schur
 from stablechar.partitions import (
     EMPTY,
     Partition,
+    _parts_of,
     partitions_of,
     partitions_through,
-    parts_of,
     subpartitions,
 )
 from stablechar.schur import (
@@ -181,7 +181,7 @@ def test_transposed_entries_conjugate_every_shape():
                 schur._schur_basis_product(mu.parts, nu.parts),
                 bcd._nl_basis_product(mu.parts, nu.parts),
             ):
-                by_parts = {parts_of[i]: c for i, c in entry.items()}
+                by_parts = {_parts_of[i]: c for i, c in entry.items()}
                 for least in (0, top - 2):
                     want = {
                         Partition(t).transpose().parts: c
@@ -189,7 +189,7 @@ def test_transposed_entries_conjugate_every_shape():
                         if sum(t) >= least
                     }
                     got = schur._transposed(entry, least)
-                    assert {parts_of[i]: c for i, c in got.items()} == want, (mu, nu, least)
+                    assert {_parts_of[i]: c for i, c in got.items()} == want, (mu, nu, least)
 
 
 def test_skew_expand_examples():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import bareiss_det, kappa_by_slices, leibniz_det
 
-from stablechar import cache, series
+from stablechar import cache
 from stablechar.embeddings import kappa_coefficient
 from stablechar.partitions import (
     EMPTY,
@@ -402,28 +402,6 @@ def test_kappa_expansion_grading_invariants():
     assert kappa.graded[0] == FormalSum.unit("schur")
     for d in range(7):
         assert all(lam.size == d for lam in kappa.graded[d].terms)
-
-
-def test_kappa_expansion_is_kept_while_the_series_is(monkeypatch):
-    pair_sums = []
-    original = series._pair_products
-
-    def recorded(*args):
-        pair_sums.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(series, "_pair_products", recorded)
-    p = Series((1, Fraction(1, 2), Fraction(-2, 3), 3))
-    first = kappa_expansion(p, 8)
-    assert pair_sums
-    pair_sums.clear()
-    again = kappa_expansion(Series(p.coeffs), 8)  # an equal series finds it too
-    assert not pair_sums
-    assert again.graded == first.graded
-    with pytest.raises(TypeError):
-        again.graded[0] = FormalSum.zero("schur")
-    kappa_expansion(p, 7)  # another cutoff is its own expansion
-    assert pair_sums
 
 
 def test_kappa_expansion_slice_access():
