@@ -142,23 +142,22 @@ def _decode_table(name: str, data) -> dict:
             seen[text] = (lam.parts, lam.size)
         return seen[text]
 
-    out = {}
+    keys = []
     for key, value in data.items():
         try:
             (first, s1), (second, s2) = map(partition, key.split("|"))
-            entry = {}
-            for text, c in value.items():
-                _, size = partition(text)
-                if type(c) is not int or c <= 0 or not size_ok(size, s1, s2):
-                    raise ValueError
-                entry[text] = c
-            if not entry:  # no stored product or skew expansion is zero
+            if not value:  # no stored product or skew expansion is zero
                 raise ValueError
+            for text, c in value.items():
+                if type(c) is not int or c <= 0 or not size_ok(partition(text)[1], s1, s2):
+                    raise ValueError
         except (ValueError, AttributeError):
             raise ValueError(f"bad entry {key!r}") from None
-        out[(first, second)] = entry
+        keys.append((first, second))
     ids = {text: _shape_id(parts) for text, (parts, _) in seen.items()}
-    return {key: {ids[text]: c for text, c in entry.items()} for key, entry in out.items()}
+    return {
+        key: {ids[text]: c for text, c in value.items()} for key, value in zip(keys, data.values())
+    }
 
 
 def cache_file(directory: str) -> str:
