@@ -30,9 +30,10 @@ shared ``Partition`` of every distinct shape the process has met.
 Pointing the ``STABLECHAR_CACHE_DIR`` environment variable at a directory
 makes the command line load the ``PERSISTED`` tables on startup and write
 them back on exit (atomic rename, single writer) as plain JSON.  ``load``
-treats the file as untrusted: it checks every entry and drops a bad table
-whole.  ``save`` leaves the file alone when it already holds every entry,
-that is when no persisted table grew since a clean ``load`` of it.  Only
+treats the file as untrusted: it checks every entry, reads a partition
+only in the text ``save`` writes, and drops a bad table whole.  ``save``
+leaves the file alone when it already holds every entry, that is when no
+persisted table grew since a clean ``load`` of it.  Only
 full products persist; the ``nl_truncated`` table of products cut below a
 degree floor stays in memory, and so do the owned tables and the ``w``
 table of W characters (see :mod:`kr`).  A miss the kernels answer from the
@@ -136,9 +137,14 @@ def _decode_table(name: str, data) -> dict:
     seen: dict[str, tuple[tuple, int]] = {}
 
     def partition(text: str) -> tuple[tuple, int]:
-        """(parts, size) of a valid partition's text; ValueError otherwise."""
+        """(parts, size) of a partition's text as ``_encode_partition``
+        writes it; ValueError otherwise.  Only that one spelling passes
+        (not ``03``, ``+3``, `` 3`` or ``3_0``), so two texts never name
+        one shape."""
         if text not in seen:
             lam = Partition(int(p) for p in text.split(",")) if text else EMPTY
+            if _encode_partition(lam.parts) != text:
+                raise ValueError
             seen[text] = (lam.parts, lam.size)
         return seen[text]
 
@@ -211,7 +217,9 @@ def save(directory: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-", suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            # json.dumps encodes in C; json.dump streams through the
+            # pure-Python iterencode, several times slower.
+            handle.write(json.dumps(payload))
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import cache
 from .bcd import bcd_multiply
@@ -218,18 +217,27 @@ def random_table(cutoff: int, d: int, rng: random.Random) -> EmbeddingTable:
     return EmbeddingTable(cutoff, entries)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Image of one Schur basis element: source shape, basis tag, and the
-    exact multiplicity of every shape appearing."""
-
+class _DecompositionFields(NamedTuple):
     source: Partition
     basis: str
     terms: dict
 
-    def __post_init__(self):
-        if self.terms.get(self.source, 0) != 1:
+
+class Decomposition(_DecompositionFields):
+    """Image of one Schur basis element: source shape, basis tag, and the
+    exact multiplicity of every shape appearing."""
+
+    __slots__ = ()
+
+    def __new__(cls, source: Partition, basis: str, terms: dict):
+        if terms.get(source, 0) != 1:
             raise ValueError("leading coefficient of a decomposition must be 1")
+        return super().__new__(cls, source, basis, terms)
+
+    @classmethod
+    def _make(cls, iterable) -> "Decomposition":
+        # The inherited _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     def coefficient(self, mu: Partition):
         return self.terms.get(mu, 0)
@@ -387,8 +395,7 @@ def _require_hypothesis(table: EmbeddingTable, d: int, k: int) -> None:
         raise ValueError(f"table must be constant on diagonals below {d}")
 
 
-@dataclass(frozen=True)
-class LinearIdentityReport:
+class LinearIdentityReport(NamedTuple):
     d: int
     k: int
     row_coefficient: object  # m for the single row (k) at column shape (1^{k-d})
@@ -429,8 +436,7 @@ def verify_linear_identity(table: EmbeddingTable, d: int, k: int) -> LinearIdent
     )
 
 
-@dataclass(frozen=True)
-class ConstantIdentityReport:
+class ConstantIdentityReport(NamedTuple):
     d: int
     k: int
     rectangle_coefficient: object  # m for (k^d) at ((k-1)^d)
@@ -457,8 +463,7 @@ def verify_constant_identity(table: EmbeddingTable, d: int, k: int) -> ConstantI
     )
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     k: int
     computed: object
     expected: object

@@ -22,7 +22,7 @@ lives only in memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cache
 from .bcd import bcd_multiply
@@ -99,8 +99,7 @@ def kr_decomposition(lam: Partition, family: str) -> Decomposition:
     return Decomposition(lam, basis, _skew_sum(lam.parts, weights))
 
 
-@dataclass(frozen=True)
-class RectangleReport:
+class RectangleReport(NamedTuple):
     height: int
     width: int
     family: str
@@ -124,8 +123,7 @@ def rectangle_check(height: int, width: int, family: str) -> RectangleReport:
     return RectangleReport(height, width, family, matches, dec, expected)
 
 
-@dataclass(frozen=True)
-class QuadraticIdentityReport:
+class QuadraticIdentityReport(NamedTuple):
     height: int
     width: int
     family: str

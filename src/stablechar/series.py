@@ -28,9 +28,8 @@ while the caller holds the series (or an equal one) and never persisted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import cache
 from .partitions import (
@@ -208,8 +207,7 @@ def random_rational(rng: random.Random, bound: int = 100) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KappaExpansion:
+class KappaExpansion(NamedTuple):
     """Degree-graded Schur expansion, exact through total degree ``cutoff``."""
 
     cutoff: int
@@ -390,8 +388,7 @@ def kappa_expansion(p: Series, cutoff: int) -> KappaExpansion:
     return KappaExpansion(cutoff, graded)
 
 
-@dataclass(frozen=True)
-class PositivityVerdict:
+class PositivityVerdict(NamedTuple):
     through: int
     violation: tuple[Partition, object] | None
 
@@ -513,8 +510,7 @@ def real_negative_roots(p: Series) -> bool:
 _CRITICAL_SHAPE = Partition((3, 2, 2, 1, 1))
 
 
-@dataclass(frozen=True)
-class QuadraticScanReport:
+class QuadraticScanReport(NamedTuple):
     """Exact kappa data for p = 1 + b x + a x^2 through a degree bound.
 
     ``critical_coefficient`` is None when the degree bound is below 9, i.e.

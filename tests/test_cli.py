@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -300,7 +299,7 @@ def test_verify_failing_case_exits_one(monkeypatch, capsys):
     def one_wrong(height, width, family):
         report = rectangle_check(height, width, family)
         if (height, width, family) == (1, 2, "BD"):
-            return dataclasses.replace(report, matches=False)
+            return report._replace(matches=False)
         return report
 
     monkeypatch.setattr(checks, "rectangle_check", one_wrong)
@@ -468,6 +467,42 @@ def test_corrupt_cache_is_ignored_with_warning(tmp_path, content):
     assert proc.stdout.strip() == "s[2] + s[1,1]"
     assert "stablechar: warning: ignoring" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, entries",
+    [
+        ("product", {"03|1": {"4": 1, "3,1": 1}}),
+        ("product", {"+3|1": {"4": 1, "3,1": 1}}),
+        ("product", {" 3|1": {"4": 1, "3,1": 1}}),
+        ("product", {"3_0|1": {"31": 1, "30,1": 1}}),  # int() reads 3_0 as 30
+        ("product", {"3|1": {"04": 1, "3,1": 1}}),
+        ("product", {"3|1": {"4": 1, "3, 1": 1}}),
+        # Two spellings of one key, or of one term: the later one would win.
+        ("skew", {"3|1": {"2": 1}, "03|1": {"1,1": 5}}),
+        ("product", {"3|1": {"4": 1, "3,1": 1, "+4": 7}}),
+    ],
+)
+def test_cache_table_with_a_noncanonical_partition_text_is_dropped(tmp_path, name, entries):
+    (tmp_path / "stablechar-cache.json").write_text(
+        json.dumps({"schema": 1, name: entries}), encoding="utf-8"
+    )
+    [warning] = cache.load(str(tmp_path))
+    assert warning.startswith(f"ignoring table {name!r} of cache file")
+    assert cache.table(name) == {}
+
+
+def test_importing_the_cli_runs_no_code_generation():
+    # Reports are named tuples: no engine module imports dataclasses, which
+    # pulls in inspect, ast and dis at every start-up.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import stablechar.cli; "
+        "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, _SRC], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_failed_cache_save_warns(tmp_path):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import leibniz_dual_jacobi_trudi, skewing_by_terms
-from stablechar import cache, checks, cli, embeddings, series
+from stablechar import cache, checks, cli, embeddings, kr, series
 from stablechar.bcd import bcd_multiply
 from stablechar.embeddings import (
     CutoffError,
@@ -475,5 +475,53 @@ def test_decomposition_from_json_names_the_bad_field(change, field):
 
 
 def test_decomposition_leading_coefficient_enforced():
+    lam = Partition((2,))
     with pytest.raises(ValueError):
-        Decomposition(Partition((2,)), "sp", {Partition((2,)): 2})
+        Decomposition(lam, "sp", {lam: 2})
+    dec = Decomposition(lam, "sp", {lam: 1})
+    with pytest.raises(ValueError):
+        dec._replace(terms={lam: 2, EMPTY: 1})
+    with pytest.raises(ValueError):
+        Decomposition._make((lam, "sp", {EMPTY: 1}))
+    assert dec._replace(basis="o") == Decomposition(lam, "o", {lam: 1})
+
+
+def test_reports_are_immutable_named_tuples():
+    table = table_from_series(Series.geom(8), 8)
+    reports = [
+        (kappa_expansion(Series.one(), 2), ("cutoff", "graded")),
+        (series.is_kappa_positive(Series.one(), 2), ("through", "violation")),
+        (
+            series.quadratic_scan(1, 1, 2),
+            (
+                "a", "b", "degree", "critical_coefficient", "hook_coefficients",
+                "per_degree_minimum", "binding_shape", "binding_coefficient",
+            ),
+        ),
+        (image_by_skewing(Series.one(), Partition((2,))), ("source", "basis", "terms")),
+        (
+            verify_linear_identity(table, 1, 3),
+            ("d", "k", "row_coefficient", "second_difference", "rectangle_coefficient", "equal"),
+        ),
+        (
+            verify_constant_identity(table, 1, 3),
+            ("d", "k", "rectangle_coefficient", "table_combination", "equal"),
+        ),
+        (parity_coefficient(Series.one(), 0), ("k", "computed", "expected", "equal")),
+        (
+            kr.rectangle_check(1, 2, "C"),
+            ("height", "width", "family", "matches", "decomposition", "expected"),
+        ),
+        (
+            kr.quadratic_identity_check(1, 2, "C"),
+            ("height", "width", "family", "holds", "lhs", "rhs"),
+        ),
+    ]
+    for report, fields in reports:
+        name = type(report).__name__
+        assert report._fields == fields, name
+        assert list(report._asdict()) == list(fields), name
+        assert repr(report).startswith(f"{name}({fields[0]}="), name
+        for attr in (fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(report, attr, None)
