@@ -18,9 +18,9 @@ min_degree)`` it sums only the alpha that reach the floor.
 
 The memo tables live in :mod:`cache`, keyed by the parts tuples of the two
 factors and holding ``{id: int}`` entries over shape ids (see
-:mod:`stablechar.partitions`): ``nl`` holds full basis products and can be
-persisted; ``nl_truncated`` holds products cut below a floor and is never
-written to disk.  A cached full product also answers truncated requests.
+:mod:`stablechar.partitions`): ``nl`` holds full basis products and
+``nl_truncated`` products cut below a floor.  A cached full product also
+answers truncated requests.
 
 The constants are invariant under conjugating all three shapes,
 N^lam_{mu,nu} = N^{lam'}_{mu',nu'}, and conjugation keeps |alpha|.  So on a
@@ -50,7 +50,7 @@ __all__ = ["newell_littlewood", "bcd_multiply"]
 
 _nl_cache: dict[tuple, dict[int, int]] = cache.table("nl")
 # Products truncated below a degree floor, keyed (mu, nu, largest |alpha|);
-# never persisted, since ``nl`` holds full products only.
+# the full products are in ``nl``.
 _nl_truncated_cache: dict[tuple, dict[int, int]] = cache.table("nl_truncated")
 
 

@@ -18,12 +18,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import sys
 from fractions import Fraction
 
-from . import cache, checks
+from . import checks
 from .embeddings import EmbeddingTable, image_by_skewing, image_from_table, random_table
 from .kr import format_weight_decomposition, kr_decomposition, weights_json
 from .partitions import Partition
@@ -321,8 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Series syntax: comma-separated rationals with leading 1 "
             "(e.g. 1,1/2,0,3), or a preset: one, geom (all ones), geom2 "
             "(1,0,1,0,...). Partitions: comma-separated parts, '-' for the "
-            "empty partition. Set " + cache.ENV_VAR + " to persist the "
-            "tableau memo cache between runs."
+            "empty partition."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -397,29 +395,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warn(message: str) -> None:
-    print(f"stablechar: warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cache_dir = os.environ.get(cache.ENV_VAR)
-    if cache_dir:
-        for message in cache.load(cache_dir):
-            _warn(message)
     try:
-        code = args.func(args)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if cache_dir:
-            try:
-                cache.save(cache_dir)
-            except OSError as exc:
-                _warn(f"cannot save the cache to {cache_dir}: {exc}")
-    return code
 
 
 if __name__ == "__main__":

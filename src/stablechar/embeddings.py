@@ -17,7 +17,7 @@ constructions are provided and used as mutual oracles:
   minors are memoized per table in the owned table ``table_minors`` of
   :mod:`cache`, each keyed by the shape it is the determinant of, so that
   every shape of the table shares them; they are kept while the caller
-  holds the table (or an equal one) and never persisted.  The side is
+  holds the table (or an equal one).  The side is
   chosen by the shape alone: a shape with fewer rows than columns is the
   Jacobi-Trudi determinant det(h_{lam_i - i + j}) (Macdonald I.(3.4))
   instead, of side len(lam) rather than lam_1, in the scaled images of the

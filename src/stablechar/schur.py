@@ -54,9 +54,9 @@ family.  It can truncate every minor below a degree floor (each minor is
 homogeneous in the generator grading, so the floor is well defined).
 
 The memo tables of skew expansions and basis products (``skew`` and
-``product``) live in :mod:`cache`, which can persist them; a derived entry
-is stored under its own key like any other.  Conjugates are read from the
-registry, which fills each in on first use.
+``product``) live in :mod:`cache`; a derived entry is stored under its own
+key like any other.  Conjugates are read from the registry, which fills
+each in on first use.
 """
 
 from __future__ import annotations

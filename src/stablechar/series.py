@@ -22,7 +22,7 @@ for neighbouring shapes.  The coefficients are scaled to integers first
 (a_k times L^k, with L the lcm of the denominators), so every minor is an
 int and a result is divided once, by L^{|u| - |v|}.  The minors are
 memoized per series in the owned table ``minors`` of :mod:`cache`, kept
-while the caller holds the series (or an equal one) and never persisted.
+while the caller holds the series (or an equal one).
 """
 
 from __future__ import annotations

@@ -138,7 +138,7 @@ def test_truncated_rational_products_match_full_products():
         for floor, product in truncated.items():
             assert product == full.restricted(min_degree=floor), floor
     assert cache.table("nl_truncated")
-    # Only full products reach the persisted table, whose entries are keyed
+    # Only full products reach the ``nl`` table, whose entries are keyed
     # by shape ids; the registry names their parts.
     stored = {
         key: {Partition(_parts_of[t]): c for t, c in value.items()}

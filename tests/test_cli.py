@@ -7,11 +7,8 @@ from pathlib import Path
 import pytest
 
 import stablechar
-from stablechar import cache, checks, cli
-from stablechar.bcd import bcd_multiply
+from stablechar import checks, cli
 from stablechar.embeddings import Decomposition
-from stablechar.partitions import Partition, _ids, _parts_of
-from stablechar.schur import FormalSum, schur_multiply, skew_expand
 
 # The child processes import the same copy of the package as this one.
 _SRC = str(Path(stablechar.__file__).resolve().parents[1])
@@ -293,7 +290,6 @@ def test_verify_full_output(args, stdout):
 
 
 def test_verify_failing_case_exits_one(monkeypatch, capsys):
-    monkeypatch.delenv(cache.ENV_VAR, raising=False)
     rectangle_check = checks.rectangle_check
 
     def one_wrong(height, width, family):
@@ -433,205 +429,31 @@ def test_negative_degree_is_a_usage_error(args):
     assert "--degree" in proc.stderr and "expected a non-negative integer" in proc.stderr
 
 
-def test_cache_round_trip(tmp_path):
+def test_cache_dir_variable_is_ignored(tmp_path, monkeypatch):
+    # Earlier versions kept memo tables in a file in this directory.
+    monkeypatch.delenv("STABLECHAR_CACHE_DIR", raising=False)
     cache_dir = tmp_path / "cache"
-    env = {"STABLECHAR_CACHE_DIR": str(cache_dir)}
-    first = run_cli("expand", "--skew", "3,2,2/1,1", env_extra=env)
-    assert (cache_dir / "stablechar-cache.json").exists()
-    second = run_cli("expand", "--skew", "3,2,2/1,1", env_extra=env)
-    assert first.stdout == second.stdout
-    data = json.loads((cache_dir / "stablechar-cache.json").read_text(encoding="utf-8"))
-    assert data["schema"] == 1
-    assert "3,2,2|1,1" in data["skew"]
-
-
-@pytest.mark.parametrize(
-    "content",
-    [
-        {"schema": 1, "product": {"1|1": {"7,7": 5}}},  # sizes do not add up
-        {"schema": 1, "product": {"1|1": {"2": "1", "1,1": "1"}}},  # string coefficients
-        {"schema": 1, "product": {"1|1": {}}},  # no product is zero
-        [],  # not an object
-        {"schema": 1, "skew": {"2|1": {"1": 1}}, "product": {"1|1": {"3,4": 1}}},
-        {"schema": 2, "product": {"1|1": {"7,7": 5}}},
-        "not json",
-        "[" * 100000,
-    ],
-)
-def test_corrupt_cache_is_ignored_with_warning(tmp_path, content):
-    (tmp_path / "stablechar-cache.json").write_text(
-        content if isinstance(content, str) else json.dumps(content), encoding="utf-8"
-    )
-    env = {"STABLECHAR_CACHE_DIR": str(tmp_path)}
-    proc = run_cli("expand", "--multiply", "1/1", env_extra=env)
-    assert proc.stdout.strip() == "s[2] + s[1,1]"
-    assert "stablechar: warning: ignoring" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-@pytest.mark.parametrize(
-    "name, entries",
-    [
-        ("product", {"03|1": {"4": 1, "3,1": 1}}),
-        ("product", {"+3|1": {"4": 1, "3,1": 1}}),
-        ("product", {" 3|1": {"4": 1, "3,1": 1}}),
-        ("product", {"3_0|1": {"31": 1, "30,1": 1}}),  # int() reads 3_0 as 30
-        ("product", {"3|1": {"04": 1, "3,1": 1}}),
-        ("product", {"3|1": {"4": 1, "3, 1": 1}}),
-        # Two spellings of one key, or of one term: the later one would win.
-        ("skew", {"3|1": {"2": 1}, "03|1": {"1,1": 5}}),
-        ("product", {"3|1": {"4": 1, "3,1": 1, "+4": 7}}),
-    ],
-)
-def test_cache_table_with_a_noncanonical_partition_text_is_dropped(tmp_path, name, entries):
-    (tmp_path / "stablechar-cache.json").write_text(
-        json.dumps({"schema": 1, name: entries}), encoding="utf-8"
-    )
-    [warning] = cache.load(str(tmp_path))
-    assert warning.startswith(f"ignoring table {name!r} of cache file")
-    assert cache.table(name) == {}
+    cache_dir.mkdir()
+    args = ("expand", "--skew", "3,2,2/1,1")
+    plain = run_cli(*args)
+    with_dir = run_cli(*args, env_extra={"STABLECHAR_CACHE_DIR": str(cache_dir)})
+    assert (with_dir.stdout, with_dir.stderr) == (plain.stdout, plain.stderr)
+    assert list(cache_dir.iterdir()) == []
 
 
 def test_importing_the_cli_runs_no_code_generation():
     # Reports are named tuples: no engine module imports dataclasses, which
-    # pulls in inspect, ast and dis at every start-up.
+    # pulls in inspect, ast and dis at every start-up; nothing writes a
+    # file, so nothing needs tempfile or shutil.
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import stablechar.cli; "
-        "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules])"
+        "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tempfile', 'shutil') "
+        "if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code, _SRC], capture_output=True, text=True, check=True
     )
     assert proc.stdout == "[]\n"
-
-
-def test_failed_cache_save_warns(tmp_path):
-    not_a_dir = tmp_path / "file"
-    not_a_dir.write_text("", encoding="utf-8")
-    env = {"STABLECHAR_CACHE_DIR": str(not_a_dir)}
-    proc = run_cli("expand", "--skew", "3,2,2/1,1", env_extra=env)
-    assert proc.stdout.strip() == "s[3,1,1] + s[2,2,1]"
-    assert proc.stderr.startswith("stablechar: warning: cannot save the cache")
-    assert len(proc.stderr.splitlines()) == 1
-
-
-def test_cache_persists_tables_and_reloads_them(tmp_path):
-    env = {"STABLECHAR_CACHE_DIR": str(tmp_path)}
-    run_cli("verify", "--prop", "eqquad", "--max", "2", env_extra=env)
-    data = json.loads((tmp_path / "stablechar-cache.json").read_text(encoding="utf-8"))
-    assert set(data) == {"schema", *cache.PERSISTED}
-    assert all(data[name] for name in cache.PERSISTED)
-    cache.clear_all()
-    assert cache.load(str(tmp_path)) == []
-    for name in cache.PERSISTED:
-        assert cache._encode_table(cache.table(name)) == data[name]
-
-
-# Written by ``verify --prop eqquad --max 2``, ``expand --multiply 3,1/2,2``
-# and ``expand --skew 4,2,1/2,1`` at commit de2cc14, when the memo entries
-# were keyed by ``Partition`` objects rather than parts tuples.
-PARTITION_KEYED_CACHE = Path(__file__).parent / "data" / "cache-partition-keyed.json"
-
-
-def _fresh_entry(name, first, second):
-    """A persisted table's entry, computed from empty memo tables."""
-    cache.clear_all()
-    one, two = Partition(first), Partition(second)
-    if name == "skew":
-        result = skew_expand(one, two)
-    elif name == "product":
-        result = schur_multiply(FormalSum.single("schur", one), FormalSum.single("schur", two))
-    else:
-        result = bcd_multiply(FormalSum.single("sp", one), FormalSum.single("sp", two))
-    return {lam.parts: c for lam, c in result.terms.items()}
-
-
-def test_cache_file_with_partition_keyed_entries_answers_identically(tmp_path):
-    original = PARTITION_KEYED_CACHE.read_bytes()
-    old = tmp_path / "old"
-    old.mkdir()
-    (old / "stablechar-cache.json").write_bytes(original)
-    assert cache.load(str(old)) == []
-    loaded = {name: dict(cache.table(name)) for name in cache.PERSISTED}
-    assert all(loaded.values())
-    # Saved again from the loaded tables, the file is the same bytes.
-    cache.save(str(tmp_path / "again"))
-    assert (tmp_path / "again" / "stablechar-cache.json").read_bytes() == original
-    for name, memo in loaded.items():
-        for (first, second), entry in memo.items():
-            # Entries are keyed by shape ids; the registry names their parts.
-            by_parts = {_parts_of[i]: c for i, c in entry.items()}
-            assert by_parts == _fresh_entry(name, first, second), (name, first, second)
-    commands = [
-        ("verify", "--prop", "eqquad", "--max", "2"),
-        ("expand", "--multiply", "3,1/2,2"),
-        ("expand", "--skew", "4,2,1/2,1"),
-        ("expand", "--multiply", "2,2,1/2,1"),
-    ]
-    for args in commands:
-        warm = run_cli(*args, env_extra={"STABLECHAR_CACHE_DIR": str(old)})
-        cold = run_cli(*args, env_extra={"STABLECHAR_CACHE_DIR": str(tmp_path / "new")})
-        assert (warm.stdout, warm.stderr) == (cold.stdout, cold.stderr), args
-
-
-# Written by ``verify --prop kr --max 3`` then ``verify --prop eqquad --max 2``
-# into an empty cache directory, before the memo entries were keyed by shape
-# ids.
-KR_EQQUAD_CACHE = Path(__file__).parent / "data" / "cache-kr-eqquad.json"
-
-
-def test_cache_file_bytes_do_not_depend_on_how_entries_are_keyed(tmp_path):
-    env = {"STABLECHAR_CACHE_DIR": str(tmp_path)}
-    run_cli("verify", "--prop", "kr", "--max", "3", env_extra=env)
-    run_cli("verify", "--prop", "eqquad", "--max", "2", env_extra=env)
-    written = (tmp_path / "stablechar-cache.json").read_bytes()
-    assert written == KR_EQQUAD_CACHE.read_bytes()
-
-
-def test_cache_file_is_rewritten_only_when_it_changes(tmp_path):
-    env = {"STABLECHAR_CACHE_DIR": str(tmp_path)}
-    path = tmp_path / "stablechar-cache.json"
-    run_cli("expand", "--skew", "3,2,2/1,1", env_extra=env)
-    before = os.stat(path)
-    run_cli("expand", "--skew", "3,2,2/1,1", env_extra=env)
-    after = os.stat(path)
-    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-    run_cli("expand", "--multiply", "2,1/1", env_extra=env)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    assert "2,1|1" in data["product"] and "3,2,2|1,1" in data["skew"]
-
-
-def test_cache_file_with_bad_table_is_rewritten_clean(tmp_path):
-    env = {"STABLECHAR_CACHE_DIR": str(tmp_path)}
-    path = tmp_path / "stablechar-cache.json"
-    run_cli("expand", "--skew", "3,2,2/1,1", env_extra=env)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    data["product"] = {"1|1": {"7,7": 5}}  # sizes do not add up
-    path.write_text(json.dumps(data), encoding="utf-8")
-    # The command adds no entry; the dropped table alone forces the rewrite.
-    proc = run_cli("expand", "--skew", "3,2,2/1,1", env_extra=env)
-    assert "ignoring table 'product'" in proc.stderr
-    data = json.loads(path.read_text(encoding="utf-8"))
-    assert data["product"] == {}
-    assert "3,2,2|1,1" in data["skew"]
-    proc = run_cli("expand", "--skew", "3,2,2/1,1", env_extra=env)
-    assert proc.stderr == ""
-
-
-def test_dropped_cache_table_registers_no_shape(tmp_path):
-    # The bad entry's shapes come before the bad size is seen; shapes of a
-    # table that loads are registered.
-    data = {
-        "schema": 1,
-        "skew": {"33,31|1": {"33,30": 1, "32,31": 1}},
-        "product": {"37,29|1": {"38,29": 1, "41,40": 5}},
-    }
-    (tmp_path / "stablechar-cache.json").write_text(json.dumps(data), encoding="utf-8")
-    [warning] = cache.load(str(tmp_path))
-    assert "ignoring table 'product'" in warning
-    assert (33, 30) in _ids and (32, 31) in _ids
-    assert (38, 29) not in _ids and (41, 40) not in _ids
-    assert list(cache.table("product")) == []
 
 
 def test_unknown_command_exits_two():

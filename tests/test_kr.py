@@ -99,8 +99,8 @@ def test_kr_decomposition_matches_term_by_term_skews():
 
 
 def test_skew_sums_expand_no_shape_of_weight_zero():
-    # The skew table is persisted: a skew expansion of a zero weight would
-    # put an entry in the cache file that the sum never needed.
+    # A skew expansion of a zero weight would be work, and a memo entry,
+    # that the sum never needed.
     lam = Partition((4, 3, 2, 1))
     image_by_skewing(Series.one(), lam)  # kappa of p = 1: the even-column sum
     assert set(cache.table("skew")) == {
@@ -189,18 +189,3 @@ def test_eqquad_builds_each_w_character_once(monkeypatch):
     assert len(kr._w_characters) == 50
     cache.clear_all()
     assert not kr._w_characters
-
-
-def test_w_memo_leaves_the_cache_file_unchanged(tmp_path, monkeypatch):
-    def cache_file_after_eqquad(name):
-        cache.clear_all()
-        assert all(ok for _, ok in checks.eqquad(3))
-        cache.save(str(tmp_path / name))
-        return (tmp_path / name / "stablechar-cache.json").read_bytes()
-
-    memoized = cache_file_after_eqquad("memo")
-    # The same grid with every W character built afresh, as without the memo.
-    monkeypatch.setattr(
-        kr, "_w_character", lambda h, w, family: kr_decomposition(P(*[w] * h), family).as_sum()
-    )
-    assert cache_file_after_eqquad("fresh") == memoized
