@@ -16,28 +16,28 @@ one order-free dict, keyed by pairs of shape ids, before it looks up any
 s_beta * s_gamma.  Given a degree floor from ``bcd_multiply(...,
 min_degree)`` it sums only the alpha that reach the floor.
 
-The memo tables live in :mod:`cache`, keyed by the parts tuples of the two
-factors and holding ``{id: int}`` entries over shape ids (see
-:mod:`stablechar.partitions`): ``nl`` holds full basis products and
-``nl_truncated`` products cut below a floor.  A cached full product also
-answers truncated requests.
+The memo tables live in :mod:`cache`, keyed by shape ids (see
+:mod:`stablechar.partitions`) and holding ``{id: int}`` entries over shape
+ids: ``nl`` holds full basis products, keyed by the unordered pair (p, q)
+stored with p <= q, and ``nl_truncated`` products cut below a floor, keyed
+(p, q, largest |alpha|).  A cached full product also answers truncated
+requests.
 
 The constants are invariant under conjugating all three shapes,
 N^lam_{mu,nu} = N^{lam'}_{mu',nu'}, and conjugation keeps |alpha|.  So on a
-miss the product of the conjugate pair (mu', nu'), full or truncated at the
-same |alpha|, is looked up too; its terms, conjugated, are stored under the
-requested key.
+miss the product of the conjugate pair (mu', nu'), its ids read from the
+registry, full or truncated at the same |alpha|, is looked up too; its
+terms, conjugated, are stored under the requested key.
 """
 
 from __future__ import annotations
 
 from . import cache
-from .partitions import Partition, subpartitions
+from .partitions import Partition, _conjugate_id, _parts_of, _shape_id, _size_of, subpartitions
 from .schur import (
     BasisMismatchError,
     FormalSum,
     _bilinear,
-    _conjugate,
     _pair_products,
     _schur_basis_product,
     _skew,
@@ -49,7 +49,7 @@ from .schur import (
 __all__ = ["newell_littlewood", "bcd_multiply"]
 
 _nl_cache: dict[tuple, dict[int, int]] = cache.table("nl")
-# Products truncated below a degree floor, keyed (mu, nu, largest |alpha|);
+# Products truncated below a degree floor, keyed (p, q, largest |alpha|);
 # the full products are in ``nl``.
 _nl_truncated_cache: dict[tuple, dict[int, int]] = cache.table("nl_truncated")
 
@@ -59,47 +59,43 @@ def _meet(mu, nu) -> Partition:
     return Partition._trusted(tuple(map(min, mu, nu)))
 
 
-def _nl_order(mu: tuple, nu: tuple) -> tuple[tuple, tuple]:
-    """The factors of sp_mu * sp_nu in memo-key order."""
-    return (nu, mu) if mu > nu else (mu, nu)
-
-
-def _nl_basis_product(mu: tuple, nu: tuple, min_degree: int | None = None) -> dict[int, int]:
-    """sp_mu * sp_nu for nonempty parts mu and nu, or at least its terms of
-    degree >= ``min_degree``, as a memo entry.
+def _nl_basis_product(p: int, q: int, min_degree: int | None = None) -> dict[int, int]:
+    """sp_p * sp_q for the ids p <= q of nonempty shapes, or at least its
+    terms of degree >= ``min_degree``, as a memo entry.
 
     A term of degree |mu| + |nu| - 2|alpha| comes from alpha alone, so a
     floor bounds |alpha|.  The (beta, gamma) pairs of every alpha are merged
     into one order-free dict before any s_beta * s_gamma is looked up.
     """
-    mu, nu = _nl_order(mu, nu)
-    key = (mu, nu)
+    key = (p, q)
     cached = _nl_cache.get(key)
     if cached is None and min_degree is not None:
-        top = (sum(mu) + sum(nu) - min_degree) // 2  # largest |alpha| that counts
+        top = (_size_of[p] + _size_of[q] - min_degree) // 2  # largest |alpha| that counts
         cached = _nl_truncated_cache.get(key + (top,))
     if cached is not None:
         return cached
-    meet = _meet(mu, nu)
+    meet = _meet(_parts_of[p], _parts_of[q])
     if min_degree is None or top >= meet.size:
         top, memo = meet.size, _nl_cache
     else:
         key, memo = key + (top,), _nl_truncated_cache
     # Conjugating mu, nu and alpha keeps |alpha|: the conjugate pair's full
     # product, or its product truncated at the same |alpha|, has the terms.
-    key_t = _nl_order(_conjugate(mu), _conjugate(nu))
+    pt, qt = _conjugate_id(p), _conjugate_id(q)
+    key_t = (pt, qt) if pt <= qt else (qt, pt)
     conjugate = _nl_cache.get(key_t)
     if conjugate is None and memo is _nl_truncated_cache:
         conjugate = memo.get(key_t + (top,))
     if conjugate is not None:
-        out = memo[key] = _transposed(conjugate, sum(mu) + sum(nu) - 2 * top)
+        out = memo[key] = _transposed(conjugate, _size_of[p] + _size_of[q] - 2 * top)
         return out
     pairs: dict[tuple, int] = {}
     for alpha in subpartitions(meet):
         if alpha.size > top:
             continue
-        left = _skew(mu, alpha.parts)
-        right = _skew(nu, alpha.parts).items()
+        a = _shape_id(alpha.parts)
+        left = _skew(p, a)
+        right = _skew(q, a).items()
         for b, cb in left.items():
             for g, cg in right:
                 pair = (b, g) if b <= g else (g, b)

@@ -180,9 +180,13 @@ def _verify_cases(args):
         return checks.oracle(_series_set(args, args.max_size + 2), args.max_size)
     if args.prop == "ringhom":
         return checks.ringhom(_series_set(args, 2 * args.max_size), args.max_size)
-    # Tables are drawn as they are reached, in (d, trial) order, as the seed fixes.
-    ds, rng = args.d or [1, 2, 3], random.Random(args.seed)
-    cutoff = args.k + max(ds) + 1
+    # Tables are drawn as they are reached, in (d, trial) order, as the seed
+    # fixes.  A d with no k in d + 2 .. k draws none: its table, of cutoff
+    # k + d + 1, costs time and memory quadratic in d.  A d below 1 is kept,
+    # so that ``random_table`` rejects it.
+    ds = [d for d in args.d or [1, 2, 3] if d < 1 or d + 2 <= args.k]
+    rng = random.Random(args.seed)
+    cutoff = args.k + max(ds, default=0) + 1
     tables = ((d, t, random_table(cutoff, d, rng)) for d in ds for t in range(args.trials))
     return checks.identities(args.prop, tables, args.k)
 

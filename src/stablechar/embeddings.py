@@ -14,10 +14,10 @@ constructions are provided and used as mutual oracles:
   multiplication.  The images are scaled to integers first (the n-th times
   L^n, with L the lcm of the denominators of the table's entries), so every
   minor is an integer sum and a result is divided once, by L^{|lam|}.  The
-  minors are memoized per table in the owned table ``table_minors`` of
-  :mod:`cache`, each keyed by the shape it is the determinant of, so that
-  every shape of the table shares them; they are kept while the caller
-  holds the table (or an equal one).  The side is
+  minors are memoized per table, in the state that the table holds in its
+  ``_memo`` slot (see ``_table_state``), each keyed by the shape it is the
+  determinant of, so that every shape of the table shares them.  They live
+  as long as the table; ``cache.clear_all`` does not empty them.  The side is
   chosen by the shape alone: a shape with fewer rows than columns is the
   Jacobi-Trudi determinant det(h_{lam_i - i + j}) (Macdonald I.(3.4))
   instead, of side len(lam) rather than lam_1, in the scaled images of the
@@ -36,7 +36,6 @@ import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import cache
 from .bcd import bcd_multiply
 from .partitions import (
     EMPTY,
@@ -75,14 +74,15 @@ class EmbeddingTable:
     to the identity table (delta_{ij}).
     """
 
-    # Immutable after __init__; the weak reference keys its owned state.
-    __slots__ = ("cutoff", "_m", "_hash", "__weakref__")
+    # Immutable after __init__ but for ``_memo``, the state of
+    # ``image_from_table`` (see ``_table_state``).
+    __slots__ = ("cutoff", "_m", "_memo")
 
     def __init__(self, cutoff: int, entries=None):
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
         self.cutoff = cutoff
-        self._hash = None
+        self._memo = None
         self._m: dict[tuple[int, int], object] = {}
         for (i, j), value in (entries or {}).items():
             if not (0 <= j <= i <= cutoff):
@@ -176,10 +176,7 @@ class EmbeddingTable:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.cutoff, frozenset(self._m.items())))
-        return h
+        return hash((self.cutoff, frozenset(self._m.items())))
 
     def __repr__(self) -> str:
         return f"EmbeddingTable(cutoff={self.cutoff}, {len(self._m)} off-diagonal entries)"
@@ -307,11 +304,8 @@ def image_by_skewing(p: Series, lam: Partition) -> Decomposition:
         raise TruncationError(
             f"series truncated at order {p.order} cannot embed a shape of size {lam.size}"
         )
-    weights = ((mu.parts, kappa_coefficient(p, mu)) for mu in subpartitions(lam))
-    return Decomposition(lam, "sp", _skew_sum(lam.parts, weights))
-
-
-_table_minors = cache.owned("table_minors")
+    weights = ((mu, kappa_coefficient(p, mu)) for mu in subpartitions(lam))
+    return Decomposition(lam, "sp", _skew_sum(lam, weights))
 
 
 def _table_state(table: EmbeddingTable) -> tuple[int, Callable, dict, Callable, dict]:
@@ -325,8 +319,10 @@ def _table_state(table: EmbeddingTable) -> tuple[int, Callable, dict, Callable, 
     fewer rows than columns and ``memo`` for the others.  The scaled
     generator images are built once each.  A row image (n) is the top minor
     (1^n) of ``memo`` at its deficit, so a row asked for again is read from
-    there.  The state reads the table's entries but holds no reference to
-    the table, its weak key in ``table_minors``."""
+    there.  ``image_from_table`` builds the state on first use and keeps it
+    in the table's ``_memo`` slot.  It reads the table's entries but holds
+    no reference to the table, so the two form no reference cycle and are
+    freed by reference counting alone."""
     entries = table._m
     den, _ = _integers(entries.values())
     scaled: dict[int, FormalSum] = {}
@@ -370,7 +366,10 @@ def image_from_table(
         raise CutoffError(
             f"shape {lam} needs table entries through {need}, cutoff is {table.cutoff}"
         )
-    den, gen, memo, row, row_memo = cache.latest(_table_minors, table, _table_state)
+    state = table._memo
+    if state is None:
+        state = table._memo = _table_state(table)
+    den, gen, memo, row, row_memo = state
     shape = lam
     if len(lam) < lam.part(0):
         shape, gen, memo = lam.transpose(), (lambda n: row(n, max_deficit)), row_memo

@@ -95,8 +95,8 @@ def kr_decomposition(lam: Partition, family: str) -> Decomposition:
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
     basis, even = ("sp", all_even_rows) if family == "C" else ("o", all_even_columns)
-    weights = ((mu.parts, 1) for mu in subpartitions(lam) if even(mu))
-    return Decomposition(lam, basis, _skew_sum(lam.parts, weights))
+    weights = ((mu, 1) for mu in subpartitions(lam) if even(mu))
+    return Decomposition(lam, basis, _skew_sum(lam, weights))
 
 
 class RectangleReport(NamedTuple):

@@ -224,7 +224,7 @@ def all_even_rows(lam: Partition) -> bool:
 # shape met since the process started, and clearing the memo tables frees
 # none of them.  The empty shape is id 0, so ``not i`` tests for it and 0
 # sorts first.  The names are internal to the kernels (``schur``, ``bcd``,
-# ``series``, ``cache``); the lists must only ever be appended to, here.
+# ``series``); the lists must only ever be appended to, here.
 
 _ids: dict[tuple, int] = {(): 0}
 _parts_of: list[tuple] = [()]  # id -> parts

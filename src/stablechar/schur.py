@@ -14,17 +14,17 @@ test suite:
   agree on the shape and on the last strip's prefix, clamped to the length
   of the next strip, are merged and extended once.
 
-The memo entries are keyed by the parts tuples of their shapes, but each
-entry is an ``{id: int}`` dict over shape ids (see
-:mod:`stablechar.partitions`), and every sum is taken on those ids: CPython
-caches no tuple's hash, so an accumulator keyed by parts tuples would hash
-each tuple twice per term it adds.  ``_lattice_fillings`` and
-``_strip_product`` still compute on parts; their results are converted to
-ids once, when they are stored.  ``schur_multiply`` and
-``bcd.bcd_multiply`` share one bilinear accumulation that scales both
-operands to integer coefficients, merges (mu, nu) and (nu, mu) into one
-unordered pair of ids before any basis product is looked up, adds ints, and
-divides once per output term; the minors of
+The memo entries are keyed by shape ids (see :mod:`stablechar.partitions`):
+lam/mu by (lam, mu), and the product of p and q by the unordered pair (p,
+q) stored with p <= q.  Each entry is an ``{id: int}`` dict over shape ids,
+and every sum is taken on those ids: CPython caches no tuple's hash, so a
+key or an accumulator made of parts tuples would hash whole tuples on every
+lookup.  ``_lattice_fillings`` and ``_strip_product`` still compute on
+parts; their results are converted to ids once, by ``_by_id``, when they
+are stored.  ``schur_multiply`` and ``bcd.bcd_multiply`` share one bilinear
+accumulation that scales both operands to integer coefficients, merges (mu,
+nu) and (nu, mu) into one unordered pair of ids before any basis product is
+looked up, adds ints, and divides once per output term; the minors of
 ``dual_jacobi_trudi``, the kernel slices of ``series.kappa_expansion`` and
 the weighted skew sums of ``_skew_sum`` are summed the same way.  The last
 is one sum for both skewing routes: ``embeddings.image_by_skewing`` weights
@@ -37,12 +37,12 @@ function returns, and each is the one the registry keeps for its id
 
 Littlewood-Richardson coefficients are invariant under conjugating all
 three shapes, c^lam_{mu,nu} = c^{lam'}_{mu',nu'}.  So a memo miss first
-looks up the conjugate key (lam'/mu', or mu' * nu' under the same ordering
-rule as mu * nu); when that entry is there its terms are transposed and
-stored under the requested key.  A product neither entry answers is built
-by ``_strip_product`` in the orientation whose content (the factor with
-fewer rows) is shorter: on mu' * nu' when min(mu_1, nu_1) is less than
-min(len(mu), len(nu)), transposing the result.
+looks up the conjugate key (lam'/mu', or the sorted pair of mu' and nu'),
+its ids read from the registry; when that entry is there its terms are
+transposed and stored under the requested key.  A product neither entry
+answers is built by ``_strip_product`` in the orientation whose content
+(the factor with fewer rows) is shorter: on mu' * nu' when min(mu_1, nu_1)
+is less than min(len(mu), len(nu)), transposing the result.
 
 ``dual_jacobi_trudi`` is the ring-generic determinant evaluator used to
 rebuild images of arbitrary shapes from images of single columns (the
@@ -55,7 +55,7 @@ homogeneous in the generator grading, so the floor is well defined).
 
 The memo tables of skew expansions and basis products (``skew`` and
 ``product``) live in :mod:`cache`; a derived entry is stored under its own
-key like any other.  Conjugates are read from the registry, which fills
+key like any other.  Conjugate ids are read from the registry, which fills
 each in on first use.
 """
 
@@ -269,11 +269,6 @@ _skew_cache: dict[tuple, dict[int, int]] = cache.table("skew")
 _product_cache: dict[tuple, dict[int, int]] = cache.table("product")
 
 
-def _conjugate(parts: tuple) -> tuple:
-    """The parts of the conjugate of the partition with these parts."""
-    return _parts_of[_conjugate_id(_shape_id(parts))]
-
-
 def _transposed(terms: dict[int, int], least: int = 0) -> dict[int, int]:
     """A memo entry's terms of degree >= ``least``, every shape conjugated."""
     return {_conjugate_id(t): c for t, c in terms.items() if not least or _size_of[t] >= least}
@@ -338,29 +333,31 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return skew_expand(lam, mu).coefficient(nu)
 
 
-def _skew(lam: tuple, mu: tuple) -> dict[int, int]:
-    """The memo entry of lam/mu, for mu inside lam."""
+def _skew(lam: int, mu: int) -> dict[int, int]:
+    """The memo entry of lam/mu for shape ids lam and mu, mu inside lam."""
     key = (lam, mu)
     cached = _skew_cache.get(key)
     if cached is None:
-        conjugate = _skew_cache.get((_conjugate(lam), _conjugate(mu)))
+        conjugate = _skew_cache.get((_conjugate_id(lam), _conjugate_id(mu)))
         if conjugate is not None:
             cached = _transposed(conjugate)
         else:
-            cached = _by_id(_lattice_fillings(lam, mu))
+            cached = _by_id(_lattice_fillings(_parts_of[lam], _parts_of[mu]))
         _skew_cache[key] = cached
     return cached
 
 
-def _skew_sum(lam: tuple, weights) -> dict[Partition, object]:
+def _skew_sum(lam: Partition, weights) -> dict[Partition, object]:
     """Terms of the sum of w * s_{lam/mu} over the (mu, w) pairs of
-    ``weights``, every mu inside lam.  The memo entries are summed with the
-    weights scaled to integers, in one accumulator, and divided once; a
-    zero weight is skipped, so its skew expansion is never computed."""
+    ``weights``, every mu a partition inside lam.  The memo entries are
+    summed with the weights scaled to integers, in one accumulator, and
+    divided once; a zero weight is skipped, so its skew expansion is never
+    computed."""
     # Each skew is taken before the next weight is read: computing every
     # weight of lam first raised the peak RSS of `verify --prop oracle
     # --max-size 12` from 23.5 to 25.2 MB (CPython 3.11).
-    entries = [(w, _skew(lam, mu)) for mu, w in weights if w]
+    outer = _shape_id(lam.parts)
+    entries = [(w, _skew(outer, _shape_id(mu.parts))) for mu, w in weights if w]
     den, ints = _integers([w for w, _ in entries])
     acc: dict[int, int] = {}
     for (_, entry), w in zip(entries, ints):
@@ -372,9 +369,8 @@ def skew_expand(lam: Partition, mu: Partition) -> FormalSum:
     """Schur expansion of the skew shape lam/mu (zero if mu is not inside)."""
     if not lam.contains(mu):
         return FormalSum.zero("schur")
-    return FormalSum._raw(
-        "schur", {_shape(t): c for t, c in _skew(lam.parts, mu.parts).items()}
-    )
+    entry = _skew(_shape_id(lam.parts), _shape_id(mu.parts))
+    return FormalSum._raw("schur", {_shape(t): c for t, c in entry.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -451,26 +447,28 @@ def _strip_product(base_parts: tuple, content_parts: tuple) -> dict[tuple, int]:
 def _product_order(mu: tuple, nu: tuple) -> tuple[tuple, tuple]:
     """(base, content) of s_mu * s_nu: the strip recursion branches over
     rows of the content, so the content is the factor with fewer rows.  The
-    parts break ties, so that both orders of a pair give one memo key."""
+    size and then the parts break ties, so each pair has one orientation."""
     if (len(nu), sum(nu), nu) > (len(mu), sum(mu), mu):
         return nu, mu
     return mu, nu
 
 
-def _schur_basis_product(mu: tuple, nu: tuple) -> dict[int, int]:
-    """s_mu * s_nu for nonempty parts mu and nu, as a memo entry."""
-    mu, nu = _product_order(mu, nu)
-    key = (mu, nu)
+def _schur_basis_product(p: int, q: int) -> dict[int, int]:
+    """s_p * s_q for the ids p <= q of nonempty shapes, as a memo entry."""
+    key = (p, q)
     cached = _product_cache.get(key)
     if cached is None:
-        mu_t, nu_t = _product_order(_conjugate(mu), _conjugate(nu))
-        conjugate = _product_cache.get((mu_t, nu_t))
+        pt, qt = _conjugate_id(p), _conjugate_id(q)
+        conjugate = _product_cache.get((pt, qt) if pt <= qt else (qt, pt))
         if conjugate is not None:
             cached = _transposed(conjugate)
-        elif len(nu_t) < len(nu):  # the conjugate pair has the shorter content
-            cached = _transposed(_by_id(_strip_product(mu_t, nu_t)))
         else:
-            cached = _by_id(_strip_product(mu, nu))
+            mu, nu = _product_order(_parts_of[p], _parts_of[q])
+            mu_t, nu_t = _product_order(_parts_of[pt], _parts_of[qt])
+            if len(nu_t) < len(nu):  # the conjugate pair has the shorter content
+                cached = _transposed(_by_id(_strip_product(mu_t, nu_t)))
+            else:
+                cached = _by_id(_strip_product(mu, nu))
         _product_cache[key] = cached
     return cached
 
@@ -513,9 +511,9 @@ def _combination(pairs) -> dict:
 def _pair_products(pairs: dict, basis_product, min_degree: int | None = None) -> dict[int, int]:
     """The sum of factor * basis_product(p, q) over ``{(p, q): factor}``.
 
-    p and q are shape ids and ``basis_product`` takes their parts.  Each
-    pair is unordered, stored with p <= q, so the empty shape (id 0) can
-    only come first; a product with it is the other factor.  With
+    p and q are shape ids, and so are the arguments of ``basis_product``.
+    Each pair is unordered, stored with p <= q, so the empty shape (id 0)
+    can only come first; a product with it is the other factor.  With
     ``min_degree`` set, ``basis_product`` gets the floor as a third argument
     and terms below it are dropped.
     """
@@ -526,9 +524,9 @@ def _pair_products(pairs: dict, basis_product, min_degree: int | None = None) ->
         if not p:
             products = {q: 1}
         elif min_degree is None:
-            products = basis_product(_parts_of[p], _parts_of[q])
+            products = basis_product(p, q)
         else:
-            products = basis_product(_parts_of[p], _parts_of[q], min_degree)
+            products = basis_product(p, q, min_degree)
         _accumulate(acc, products.items(), factor, min_degree)
     return acc
 

@@ -21,8 +21,10 @@ expansion along the first column, whose minors are again such determinants
 for neighbouring shapes.  The coefficients are scaled to integers first
 (a_k times L^k, with L the lcm of the denominators), so every minor is an
 int and a result is divided once, by L^{|u| - |v|}.  The minors are
-memoized per series in the owned table ``minors`` of :mod:`cache`, kept
-while the caller holds the series (or an equal one).
+memoized per series, in the state that the series holds in its ``_memo``
+slot (see ``_state``): they live as long as the series, and an equal but
+distinct series starts a memo of its own.  ``cache.clear_all`` does not
+empty them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import random
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from . import cache
 from .partitions import (
     EMPTY,
     Partition,
@@ -77,8 +78,8 @@ def _norm_coeff(c):
 class Series:
     """p(x) = 1 + a_1 x + ... + a_N x^N with exact rational coefficients."""
 
-    # Immutable after __init__; the weak reference keys its owned state.
-    __slots__ = ("coeffs", "polynomial", "_hash", "__weakref__")
+    # Immutable after __init__ but for ``_memo``, its state (see ``_state``).
+    __slots__ = ("coeffs", "polynomial", "_memo")
 
     def __init__(self, coeffs: Iterable, polynomial: bool = True):
         coeffs = tuple(_norm_coeff(c) for c in coeffs)
@@ -86,7 +87,7 @@ class Series:
             raise ValueError("series must start with constant term 1")
         self.coeffs = coeffs
         self.polynomial = polynomial
-        self._hash = None
+        self._memo = None
 
     @property
     def order(self) -> int:
@@ -187,10 +188,7 @@ class Series:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.coeffs, self.polynomial))
-        return h
+        return hash((self.coeffs, self.polynomial))
 
     def __repr__(self) -> str:
         kind = "polynomial" if self.polynomial else "truncated"
@@ -231,22 +229,19 @@ class KappaExpansion(NamedTuple):
         return None
 
 
-_minors = cache.owned("minors")
-
-
-def _minor_state(p: Series) -> tuple[int, tuple, dict, dict]:
-    """(L, (a_k L^k)_k, empty memo of scaled minors, empty memo of kappa
-    coefficients) for p, where L is the lcm of the denominators of p.  It
-    holds values only, never p: p is its weak key in ``minors``."""
-    den, nums = _integers(p.coeffs)
-    scaled = tuple(c * den ** (k - 1) if k else 1 for k, c in enumerate(nums))
-    return den, scaled, {}, {}
-
-
 def _state(p: Series) -> tuple[int, tuple, dict, dict]:
-    """p's state in ``minors``, built on first use; the kappa memo, keyed by
-    parts, belongs to :func:`kappa_coefficient`."""
-    return cache.latest(_minors, p, _minor_state)
+    """p's state: (L, (a_k L^k)_k, memo of scaled minors, memo of kappa
+    coefficients), where L is the lcm of the denominators of p.  It is built
+    on first use and kept in p's ``_memo`` slot, so it lives as long as p.
+    It holds values only, never p, so the two form no reference cycle and
+    are freed by reference counting alone.  The kappa memo, keyed by parts,
+    belongs to :func:`kappa_coefficient`."""
+    state = p._memo
+    if state is None:
+        den, nums = _integers(p.coeffs)
+        scaled = tuple(c * den ** (k - 1) if k else 1 for k, c in enumerate(nums))
+        state = p._memo = (den, scaled, {}, {})
+    return state
 
 
 def _minor(u: tuple, v: tuple, scaled: tuple, memo: dict) -> int:

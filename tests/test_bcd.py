@@ -138,15 +138,15 @@ def test_truncated_rational_products_match_full_products():
         for floor, product in truncated.items():
             assert product == full.restricted(min_degree=floor), floor
     assert cache.table("nl_truncated")
-    # Only full products reach the ``nl`` table, whose entries are keyed
-    # by shape ids; the registry names their parts.
+    # Only full products reach the ``nl`` table, whose keys and entries are
+    # shape ids; the registry names their parts.
     stored = {
         key: {Partition(_parts_of[t]): c for t, c in value.items()}
         for key, value in cache.table("nl").items()
     }
     cache.clear_all()
-    for (mp, np_), value in stored.items():
-        mu, nu = Partition(mp), Partition(np_)
+    for (p, q), value in stored.items():
+        mu, nu = Partition(_parts_of[p]), Partition(_parts_of[q])
         again = bcd_multiply(FormalSum.single("sp", mu), FormalSum.single("sp", nu))
         assert again.terms == value, (mu, nu)
 

@@ -8,7 +8,7 @@ import pytest
 
 import stablechar
 from stablechar import checks, cli
-from stablechar.embeddings import Decomposition
+from stablechar.embeddings import Decomposition, random_table
 
 # The child processes import the same copy of the package as this one.
 _SRC = str(Path(stablechar.__file__).resolve().parents[1])
@@ -341,6 +341,29 @@ def test_verify_without_cases_exits_two(args, bounds):
     proc = run_cli("verify", *args, expect_code=2)
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: no case to check") and bounds in proc.stderr
+
+
+def test_verify_draws_no_table_for_a_d_without_cases(monkeypatch, capsys):
+    # A d with d + 2 > k selects no case, and its table, of cutoff k + d + 1,
+    # would take time and memory quadratic in d.
+    drawn = []
+
+    def recording(cutoff, d, rng):
+        drawn.append((cutoff, d))
+        if cutoff > 6:  # the table a d of 100000 asks for would not fit in memory
+            raise ValueError(f"a table of cutoff {cutoff} was drawn")
+        return random_table(cutoff, d, rng)
+
+    monkeypatch.setattr(cli, "random_table", recording)
+    verify = ["verify", "--prop", "constant", "--k", "4", "--trials", "1"]
+    assert cli.main([*verify, "--d", "100000"]) == 2
+    assert drawn == []
+    assert capsys.readouterr().err.startswith("error: no case to check")
+    assert cli.main([*verify, "--d", "1", "--d", "100000"]) == 0
+    assert drawn == [(6, 1)]
+    assert capsys.readouterr().out.endswith("verify: 2/2 checks passed (seed 0)\n")
+    assert cli.main([*verify, "--d", "0", "--k", "1"]) == 2
+    assert capsys.readouterr().err == "error: d must be at least 1\n"
 
 
 def test_scan_single_point():

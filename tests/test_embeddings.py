@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import leibniz_dual_jacobi_trudi, skewing_by_terms
-from stablechar import cache, checks, cli, embeddings, kr, series
+from stablechar import checks, cli, embeddings, kr, series
 from stablechar.bcd import bcd_multiply
 from stablechar.embeddings import (
     CutoffError,
@@ -192,7 +192,7 @@ def test_row_image_keeps_quadratically_many_minors(n):
     # n(n+1)/2 of them, where a first-row expansion keeps 2^n - 1.
     table = random_table(n, 2, random.Random(36))
     image_from_table(table, Partition((n,)), max_deficit=2)
-    _, _, memo, _, _ = embeddings._table_minors[table]
+    _, _, memo, _, _ = table._memo
     assert 0 < len(memo) <= n * (n + 1) // 2
 
 
@@ -206,52 +206,44 @@ def test_image_from_table_state_follows_the_table():
     changed = EmbeddingTable.from_json(data)
     assert changed != table
 
-    def state_of(t):
-        return cache.latest(embeddings._table_minors, t, embeddings._table_state)
-
     lam = Partition((3, 2, 1))
     first = image_from_table(table, lam)
-    state = state_of(table)
+    state = table._memo
     assert image_from_table(copy, lam) == first
-    assert state_of(copy) is state  # an equal table keeps it
     got = image_from_table(changed, lam)
-    assert state_of(changed) is not state
+    assert changed._memo is not state
     expected = leibniz_dual_jacobi_trudi(lam, changed.generator_image, bcd_multiply)
     assert got.as_sum() == expected != first.as_sum()
-    # Back to the first table: it still lives, so its state was kept, and
-    # its equal copy still shares it.
+    # Back to the first table: it still lives, so its state was kept.
     assert image_from_table(table, lam) == first
-    assert state_of(table) is state
-    assert state_of(copy) is state
+    assert table._memo is state
 
 
-def test_owned_states_die_with_their_owner():
-    # A state that referenced its owner would keep its weak key alive.
-    table = random_table(8, 2, random.Random(32))
-    p = Series.from_text("1,1/2,-1/3")
-    image_from_table(table, Partition((3, 3)), max_deficit=2)
-    kappa_expansion(p, 6)
-    kappa_coefficient(p, Partition((3, 2, 1)))
-    assert len(embeddings._table_minors) == 1 and len(series._minors) == 1
-    del table, p
-    gc.collect()
-    assert len(embeddings._table_minors) == 0 and len(series._minors) == 0
+def _live(cls) -> int:
+    """The number of ``cls`` objects not yet freed."""
+    return sum(type(o) is cls for o in gc.get_objects())
 
 
 def test_streamed_tables_leave_no_state():
+    # Each table, and the state it holds, is freed by reference counting
+    # once its cases are checked, with no collection in between.
+    gc.collect()
+    before = _live(EmbeddingTable)
     rng = random.Random(33)
     tables = ((d, 0, random_table(d + 7, d, rng)) for d in (1, 2, 3))
     assert all(ok for _, ok in checks.identities("constant", tables, 6))
-    assert len(embeddings._table_minors) == 0
+    assert _live(EmbeddingTable) == before
 
 
 def test_streamed_series_leave_no_state():
+    gc.collect()
+    before = _live(Series), _live(EmbeddingTable)
     args = argparse.Namespace(series=["1,1/2,-1/3", "geom"])
     cases = checks.oracle(cli._series_set(args, 6), 4)
     assert next(cases) == ("oracle p=1,1/2,-1/3 max-size=4", True)
-    assert len(series._minors) == 0 and len(embeddings._table_minors) == 0
+    assert (_live(Series), _live(EmbeddingTable)) == before
     assert next(cases) == ("oracle p=geom max-size=4", True)
-    assert len(series._minors) == 0 and len(embeddings._table_minors) == 0
+    assert (_live(Series), _live(EmbeddingTable)) == before
 
 
 def test_kept_table_makes_no_new_minor(monkeypatch):
@@ -259,7 +251,7 @@ def test_kept_table_makes_no_new_minor(monkeypatch):
     lam = Partition((4, 4))
     first = image_from_table(table, lam, max_deficit=2)
     image_from_table(random_table(10, 2, random.Random(35)), lam, max_deficit=2)
-    _, _, memo, _, row_memo = embeddings._table_minors[table]
+    _, _, memo, _, row_memo = table._memo
     sizes = len(memo), len(row_memo)
     products = []
 

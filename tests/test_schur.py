@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import jt_product, leibniz_dual_jacobi_trudi
 from stablechar import bcd, cache, schur
+from stablechar.kr import kr_decomposition
 from stablechar.partitions import (
     EMPTY,
     Partition,
     _parts_of,
+    _shape_id,
     partitions_of,
     partitions_through,
     subpartitions,
@@ -177,10 +179,8 @@ def test_transposed_entries_conjugate_every_shape():
             if not (mu and nu):
                 continue
             top = mu.size + nu.size
-            for entry in (
-                schur._schur_basis_product(mu.parts, nu.parts),
-                bcd._nl_basis_product(mu.parts, nu.parts),
-            ):
+            p, q = sorted((_shape_id(mu.parts), _shape_id(nu.parts)))
+            for entry in (schur._schur_basis_product(p, q), bcd._nl_basis_product(p, q)):
                 by_parts = {_parts_of[i]: c for i, c in entry.items()}
                 for least in (0, top - 2):
                     want = {
@@ -190,6 +190,37 @@ def test_transposed_entries_conjugate_every_shape():
                     }
                     got = schur._transposed(entry, least)
                     assert {_parts_of[i]: c for i, c in got.items()} == want, (mu, nu, least)
+
+
+def test_kernel_tables_are_keyed_by_shape_ids(monkeypatch):
+    # skew is keyed (lam, mu), the products by the unordered pair (p, q)
+    # with p <= q, and nl_truncated adds the largest |alpha|: all ints.
+    a = FormalSum("schur", {Partition((2, 1)): 1, Partition((3,)): 2, EMPTY: 1})
+    b = FormalSum("schur", {Partition((2, 2)): Fraction(1, 2), Partition((1, 1)): -1})
+    sp_a, sp_b = FormalSum("sp", a.terms), FormalSum("sp", b.terms)
+
+    def products(x, y, sp_x, sp_y):
+        return (  # the truncated products first: a full one would answer them
+            schur_multiply(x, y),
+            bcd.bcd_multiply(sp_x, sp_y, min_degree=5),
+            bcd.bcd_multiply(sp_x, sp_y),
+        )
+
+    first = products(a, b, sp_a, sp_b)
+    kr_decomposition(Partition((3, 2, 1)), "C")
+    tables = {name: cache.table(name) for name in ("skew", "product", "nl", "nl_truncated")}
+    for name, table in tables.items():
+        assert table, name
+        for key in table:
+            assert type(key) is tuple and len(key) == (3 if name == "nl_truncated" else 2)
+            assert all(type(i) is int for i in key), (name, key)
+            if name != "skew":
+                assert key[0] <= key[1], (name, key)
+    sizes = {name: len(table) for name, table in tables.items()}
+    strips = _record_calls(monkeypatch, "_strip_product")
+    assert products(b, a, sp_b, sp_a) == first
+    assert not strips
+    assert {name: len(table) for name, table in tables.items()} == sizes
 
 
 def test_skew_expand_examples():
