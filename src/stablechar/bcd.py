@@ -19,15 +19,19 @@ min_degree)`` it sums only the alpha that reach the floor.
 The memo tables live in :mod:`cache`, keyed by shape ids (see
 :mod:`stablechar.partitions`) and holding ``{id: int}`` entries over shape
 ids: ``nl`` holds full basis products, keyed by the unordered pair (p, q)
-stored with p <= q, and ``nl_truncated`` products cut below a floor, keyed
-(p, q, largest |alpha|).  A cached full product also answers truncated
-requests.
+with p <= q, and ``nl_truncated`` products cut below a floor, keyed (p, q,
+largest |alpha|).  A cached full product also answers truncated requests.
 
 The constants are invariant under conjugating all three shapes,
-N^lam_{mu,nu} = N^{lam'}_{mu',nu'}, and conjugation keeps |alpha|.  So on a
-miss the product of the conjugate pair (mu', nu'), its ids read from the
-registry, full or truncated at the same |alpha|, is looked up too; its
-terms, conjugated, are stored under the requested key.
+N^lam_{mu,nu} = N^{lam'}_{mu',nu'} (Koike-Terada, J. Algebra 107, 1987),
+and conjugation keeps |alpha|.  So, as in :mod:`stablechar.schur`, one
+entry serves the pair (p, q) and its conjugate pair (p', q'), full or
+truncated at the same |alpha|, stored under the smaller of the two keys.
+``_nl_basis_product`` looks up the requested key, then the conjugate key,
+and returns (entry, flipped) without copying the entry; ``_pair_products``
+conjugates the flipped sums once.  A product neither key answers is
+computed in the orientation it is stored in; its skews may come flipped,
+and their ids are conjugated before the (beta, gamma) pairs are formed.
 """
 
 from __future__ import annotations
@@ -40,8 +44,7 @@ from .schur import (
     _bilinear,
     _pair_products,
     _schur_basis_product,
-    _skew,
-    _transposed,
+    _skew_terms,
     lr_coefficient,
     skew_expand,
 )
@@ -59,13 +62,19 @@ def _meet(mu, nu) -> Partition:
     return Partition._trusted(tuple(map(min, mu, nu)))
 
 
-def _nl_basis_product(p: int, q: int, min_degree: int | None = None) -> dict[int, int]:
-    """sp_p * sp_q for the ids p <= q of nonempty shapes, or at least its
-    terms of degree >= ``min_degree``, as a memo entry.
+def _nl_basis_product(
+    p: int, q: int, min_degree: int | None = None
+) -> tuple[dict[int, int], bool]:
+    """(entry, flipped): sp_p * sp_q for the ids p <= q of nonempty shapes,
+    or at least its terms of degree >= ``min_degree``, as a memo entry, and
+    whether it is the entry of sp_p' * sp_q', whose terms are the
+    conjugates of those of sp_p * sp_q.
 
     A term of degree |mu| + |nu| - 2|alpha| comes from alpha alone, so a
-    floor bounds |alpha|.  The (beta, gamma) pairs of every alpha are merged
-    into one order-free dict before any s_beta * s_gamma is looked up.
+    floor bounds |alpha|; conjugation keeps |alpha|, so a truncated entry
+    answers both orientations at the same bound.  The (beta, gamma) pairs
+    of every alpha are merged into one order-free dict before any s_beta *
+    s_gamma is looked up.
     """
     key = (p, q)
     cached = _nl_cache.get(key)
@@ -73,35 +82,35 @@ def _nl_basis_product(p: int, q: int, min_degree: int | None = None) -> dict[int
         top = (_size_of[p] + _size_of[q] - min_degree) // 2  # largest |alpha| that counts
         cached = _nl_truncated_cache.get(key + (top,))
     if cached is not None:
-        return cached
+        return cached, False
+    pt, qt = _conjugate_id(p), _conjugate_id(q)
+    key_t = (pt, qt) if pt <= qt else (qt, pt)
+    cached = _nl_cache.get(key_t)
+    if cached is None and min_degree is not None:
+        cached = _nl_truncated_cache.get(key_t + (top,))
+    if cached is not None:
+        return cached, True
+    flipped = key_t < key  # the smaller key is the stored one
+    if flipped:
+        key = p, q = key_t
     meet = _meet(_parts_of[p], _parts_of[q])
     if min_degree is None or top >= meet.size:
         top, memo = meet.size, _nl_cache
     else:
         key, memo = key + (top,), _nl_truncated_cache
-    # Conjugating mu, nu and alpha keeps |alpha|: the conjugate pair's full
-    # product, or its product truncated at the same |alpha|, has the terms.
-    pt, qt = _conjugate_id(p), _conjugate_id(q)
-    key_t = (pt, qt) if pt <= qt else (qt, pt)
-    conjugate = _nl_cache.get(key_t)
-    if conjugate is None and memo is _nl_truncated_cache:
-        conjugate = memo.get(key_t + (top,))
-    if conjugate is not None:
-        out = memo[key] = _transposed(conjugate, _size_of[p] + _size_of[q] - 2 * top)
-        return out
     pairs: dict[tuple, int] = {}
     for alpha in subpartitions(meet):
         if alpha.size > top:
             continue
         a = _shape_id(alpha.parts)
-        left = _skew(p, a)
-        right = _skew(q, a).items()
-        for b, cb in left.items():
+        left = _skew_terms(p, a)
+        right = _skew_terms(q, a)
+        for b, cb in left:
             for g, cg in right:
                 pair = (b, g) if b <= g else (g, b)
                 pairs[pair] = pairs.get(pair, 0) + cb * cg
     out = memo[key] = _pair_products(pairs, _schur_basis_product)
-    return out
+    return out, flipped
 
 
 def newell_littlewood(lam: Partition, mu: Partition, nu: Partition) -> int:

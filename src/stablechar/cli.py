@@ -183,8 +183,13 @@ def _verify_cases(args):
     # Tables are drawn as they are reached, in (d, trial) order, as the seed
     # fixes.  A d with no k in d + 2 .. k draws none: its table, of cutoff
     # k + d + 1, costs time and memory quadratic in d.  A d below 1 is kept,
-    # so that ``random_table`` rejects it.
-    ds = [d for d in args.d or [1, 2, 3] if d < 1 or d + 2 <= args.k]
+    # so that ``random_table`` rejects it.  A d given twice would draw two
+    # tables under one label.
+    given = args.d or [1, 2, 3]
+    for i, d in enumerate(given):
+        if d in given[:i]:
+            raise ValueError(f"--d {d} given twice")
+    ds = [d for d in given if d < 1 or d + 2 <= args.k]
     rng = random.Random(args.seed)
     cutoff = args.k + max(ds, default=0) + 1
     tables = ((d, t, random_table(cutoff, d, rng)) for d in ds for t in range(args.trials))
@@ -245,7 +250,12 @@ def _scan_row(report) -> dict:
     }
 
 
+_MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(spec: str) -> tuple[list[Fraction], list[Fraction]]:
+    """The a and b values of a grid; its size is checked before any value
+    is built."""
     ranges = {}
     for piece in spec.split(","):
         name, _, body = piece.partition("=")
@@ -259,15 +269,13 @@ def _parse_grid(spec: str) -> tuple[list[Fraction], list[Fraction]]:
         lo, hi, step = _rational(lo), _rational(hi), _rational(step)
         if step <= 0 or hi < lo:
             raise ValueError(f"bad grid range {piece!r}")
-        values = []
-        cur = lo
-        while cur <= hi:
-            values.append(cur)
-            cur += step
-        ranges[name] = values
+        ranges[name] = (lo, step, (hi - lo) // step + 1)
     if "a" not in ranges or "b" not in ranges:
         raise ValueError("grid needs both a=lo..hi:step and b=lo..hi:step")
-    return ranges["a"], ranges["b"]
+    points = ranges["a"][2] * ranges["b"][2]
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(f"grid has {points} points, more than {_MAX_GRID_POINTS}")
+    return tuple([lo + i * step for i in range(n)] for lo, step, n in (ranges["a"], ranges["b"]))
 
 
 def _cmd_scan(args) -> int:

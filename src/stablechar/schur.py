@@ -16,15 +16,17 @@ test suite:
 
 The memo entries are keyed by shape ids (see :mod:`stablechar.partitions`):
 lam/mu by (lam, mu), and the product of p and q by the unordered pair (p,
-q) stored with p <= q.  Each entry is an ``{id: int}`` dict over shape ids,
-and every sum is taken on those ids: CPython caches no tuple's hash, so a
-key or an accumulator made of parts tuples would hash whole tuples on every
-lookup.  ``_lattice_fillings`` and ``_strip_product`` still compute on
-parts; their results are converted to ids once, by ``_by_id``, when they
-are stored.  ``schur_multiply`` and ``bcd.bcd_multiply`` share one bilinear
-accumulation that scales both operands to integer coefficients, merges (mu,
-nu) and (nu, mu) into one unordered pair of ids before any basis product is
-looked up, adds ints, and divides once per output term; the minors of
+q) with p <= q.  One entry serves a key and its conjugate key (lam'/mu',
+or the sorted pair of p' and q'), stored under the smaller of the two.
+Each entry is an ``{id: int}`` dict over shape ids, and every sum is taken
+on those ids: CPython caches no tuple's hash, so a key or an accumulator
+made of parts tuples would hash whole tuples on every lookup.
+``_lattice_fillings`` and ``_strip_product`` still compute on parts; their
+results are converted to ids once, by ``_by_id``, when they are stored.
+``schur_multiply`` and ``bcd.bcd_multiply`` share one bilinear accumulation
+that scales both operands to integer coefficients, merges (mu, nu) and (nu,
+mu) into one unordered pair of ids before any basis product is looked up,
+adds ints, and divides once per output term; the minors of
 ``dual_jacobi_trudi``, the kernel slices of ``series.kappa_expansion`` and
 the weighted skew sums of ``_skew_sum`` are summed the same way.  The last
 is one sum for both skewing routes: ``embeddings.image_by_skewing`` weights
@@ -36,13 +38,23 @@ function returns, and each is the one the registry keeps for its id
 (``partitions._shape``).
 
 Littlewood-Richardson coefficients are invariant under conjugating all
-three shapes, c^lam_{mu,nu} = c^{lam'}_{mu',nu'}.  So a memo miss first
-looks up the conjugate key (lam'/mu', or the sorted pair of mu' and nu'),
-its ids read from the registry; when that entry is there its terms are
-transposed and stored under the requested key.  A product neither entry
-answers is built by ``_strip_product`` in the orientation whose content
-(the factor with fewer rows) is shorter: on mu' * nu' when min(mu_1, nu_1)
-is less than min(len(mu), len(nu)), transposing the result.
+three shapes, c^lam_{mu,nu} = c^{lam'}_{mu',nu'}.  So ``_skew`` and
+``_schur_basis_product`` return (entry, flipped): they look up the
+requested key first, and on a miss the conjugate key, its ids read from
+the registry.  An entry found there is returned as it is, flipped: its
+terms are the conjugates of the requested ones.  No read copies an entry;
+the caller conjugates instead, once per distinct shape of its result.
+``_pair_products`` and ``_skew_sum`` sum the flipped entries in an
+accumulator of their own and fold it in conjugated, by ``_fold_flipped``;
+``skew_expand`` and the Newell-Littlewood pair loop of :mod:`bcd` read a
+skew through ``_skew_terms``, which maps the ids of a flipped entry to
+their conjugates.
+An entry neither key answers is computed in the orientation of the key it
+is stored under.  A product is built by ``_strip_product`` in the
+orientation whose content (the factor with fewer rows) is shorter: on mu'
+* nu' when min(mu_1, nu_1) is less than min(len(mu), len(nu)); the result
+is transposed, by ``_transposed``, only when that is not the stored
+orientation.
 
 ``dual_jacobi_trudi`` is the ring-generic determinant evaluator used to
 rebuild images of arbitrary shapes from images of single columns (the
@@ -54,9 +66,9 @@ family.  It can truncate every minor below a degree floor (each minor is
 homogeneous in the generator grading, so the floor is well defined).
 
 The memo tables of skew expansions and basis products (``skew`` and
-``product``) live in :mod:`cache`; a derived entry is stored under its own
-key like any other.  Conjugate ids are read from the registry, which fills
-each in on first use.
+``product``) live in :mod:`cache`, one entry per conjugate class.
+Conjugate ids are read from the registry, which fills each in on first
+use.
 """
 
 from __future__ import annotations
@@ -269,9 +281,9 @@ _skew_cache: dict[tuple, dict[int, int]] = cache.table("skew")
 _product_cache: dict[tuple, dict[int, int]] = cache.table("product")
 
 
-def _transposed(terms: dict[int, int], least: int = 0) -> dict[int, int]:
-    """A memo entry's terms of degree >= ``least``, every shape conjugated."""
-    return {_conjugate_id(t): c for t, c in terms.items() if not least or _size_of[t] >= least}
+def _transposed(terms: dict[int, int]) -> dict[int, int]:
+    """A memo entry's terms, every shape conjugated."""
+    return {_conjugate_id(t): c for t, c in terms.items()}
 
 
 def _by_id(terms: dict[tuple, int]) -> dict[int, int]:
@@ -333,18 +345,31 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return skew_expand(lam, mu).coefficient(nu)
 
 
-def _skew(lam: int, mu: int) -> dict[int, int]:
-    """The memo entry of lam/mu for shape ids lam and mu, mu inside lam."""
+def _skew(lam: int, mu: int) -> tuple[dict[int, int], bool]:
+    """(entry, flipped): the memo entry of lam/mu for shape ids lam and mu,
+    mu inside lam, and whether it is the entry of lam'/mu', whose terms are
+    the conjugates of those of lam/mu."""
     key = (lam, mu)
     cached = _skew_cache.get(key)
-    if cached is None:
-        conjugate = _skew_cache.get((_conjugate_id(lam), _conjugate_id(mu)))
-        if conjugate is not None:
-            cached = _transposed(conjugate)
-        else:
-            cached = _by_id(_lattice_fillings(_parts_of[lam], _parts_of[mu]))
-        _skew_cache[key] = cached
-    return cached
+    if cached is not None:
+        return cached, False
+    key_t = (_conjugate_id(lam), _conjugate_id(mu))
+    cached = _skew_cache.get(key_t)
+    if cached is not None:
+        return cached, True
+    flipped = key_t < key  # the smaller key is the stored one
+    lam, mu = key_t if flipped else key
+    cached = _skew_cache[lam, mu] = _by_id(_lattice_fillings(_parts_of[lam], _parts_of[mu]))
+    return cached, flipped
+
+
+def _skew_terms(lam: int, mu: int):
+    """The (shape id, mult) terms of lam/mu, read from its memo entry and
+    conjugated back if the entry is stored under lam'/mu'."""
+    entry, flipped = _skew(lam, mu)
+    if flipped:
+        return [(_conjugate_id(t), c) for t, c in entry.items()]
+    return entry.items()
 
 
 def _skew_sum(lam: Partition, weights) -> dict[Partition, object]:
@@ -357,20 +382,21 @@ def _skew_sum(lam: Partition, weights) -> dict[Partition, object]:
     # weight of lam first raised the peak RSS of `verify --prop oracle
     # --max-size 12` from 23.5 to 25.2 MB (CPython 3.11).
     outer = _shape_id(lam.parts)
-    entries = [(w, _skew(outer, _shape_id(mu.parts))) for mu, w in weights if w]
-    den, ints = _integers([w for w, _ in entries])
+    entries = [(w, *_skew(outer, _shape_id(mu.parts))) for mu, w in weights if w]
+    den, ints = _integers([w for w, _, _ in entries])
     acc: dict[int, int] = {}
-    for (_, entry), w in zip(entries, ints):
-        _accumulate(acc, entry.items(), w)
-    return _terms(acc, den)
+    flipped_acc: dict[int, int] = {}
+    for (_, entry, flipped), w in zip(entries, ints):
+        _accumulate(flipped_acc if flipped else acc, entry.items(), w)
+    return _terms(_fold_flipped(acc, flipped_acc), den)
 
 
 def skew_expand(lam: Partition, mu: Partition) -> FormalSum:
     """Schur expansion of the skew shape lam/mu (zero if mu is not inside)."""
     if not lam.contains(mu):
         return FormalSum.zero("schur")
-    entry = _skew(_shape_id(lam.parts), _shape_id(mu.parts))
-    return FormalSum._raw("schur", {_shape(t): c for t, c in entry.items()})
+    terms = _skew_terms(_shape_id(lam.parts), _shape_id(mu.parts))
+    return FormalSum._raw("schur", {_shape(t): c for t, c in terms})
 
 
 # ---------------------------------------------------------------------------
@@ -453,24 +479,28 @@ def _product_order(mu: tuple, nu: tuple) -> tuple[tuple, tuple]:
     return mu, nu
 
 
-def _schur_basis_product(p: int, q: int) -> dict[int, int]:
-    """s_p * s_q for the ids p <= q of nonempty shapes, as a memo entry."""
+def _schur_basis_product(p: int, q: int) -> tuple[dict[int, int], bool]:
+    """(entry, flipped): s_p * s_q for the ids p <= q of nonempty shapes, as
+    a memo entry, and whether it is the entry of s_p' * s_q', whose terms
+    are the conjugates of those of s_p * s_q."""
     key = (p, q)
     cached = _product_cache.get(key)
-    if cached is None:
-        pt, qt = _conjugate_id(p), _conjugate_id(q)
-        conjugate = _product_cache.get((pt, qt) if pt <= qt else (qt, pt))
-        if conjugate is not None:
-            cached = _transposed(conjugate)
-        else:
-            mu, nu = _product_order(_parts_of[p], _parts_of[q])
-            mu_t, nu_t = _product_order(_parts_of[pt], _parts_of[qt])
-            if len(nu_t) < len(nu):  # the conjugate pair has the shorter content
-                cached = _transposed(_by_id(_strip_product(mu_t, nu_t)))
-            else:
-                cached = _by_id(_strip_product(mu, nu))
-        _product_cache[key] = cached
-    return cached
+    if cached is not None:
+        return cached, False
+    pt, qt = _conjugate_id(p), _conjugate_id(q)
+    key_t = (pt, qt) if pt <= qt else (qt, pt)
+    cached = _product_cache.get(key_t)
+    if cached is not None:
+        return cached, True
+    flipped = key_t < key  # the smaller key is the stored one
+    mu, nu = _product_order(_parts_of[p], _parts_of[q])
+    mu_t, nu_t = _product_order(_parts_of[pt], _parts_of[qt])
+    conjugated = len(nu_t) < len(nu)  # the conjugate pair has the shorter content
+    cached = _by_id(_strip_product(mu_t, nu_t) if conjugated else _strip_product(mu, nu))
+    if conjugated != flipped:  # computed in the orientation not stored
+        cached = _transposed(cached)
+    _product_cache[key_t if flipped else key] = cached
+    return cached, flipped
 
 
 def _accumulate(acc: dict[int, int], items, factor: int, min_degree: int | None = None) -> None:
@@ -486,6 +516,17 @@ def _accumulate(acc: dict[int, int], items, factor: int, min_degree: int | None 
         for key, mult in items:
             if sizes[key] >= min_degree:
                 acc[key] = get(key, 0) + factor * mult
+
+
+def _fold_flipped(acc: dict[int, int], flipped: dict[int, int]) -> dict[int, int]:
+    """``acc`` with each sum of ``flipped`` added at the conjugate shape:
+    ``flipped`` sums entries read in the other orientation, so each of its
+    keys is conjugated once, however many terms it summed."""
+    get = acc.get
+    for key, c in flipped.items():
+        key = _conjugate_id(key)
+        acc[key] = get(key, 0) + c
+    return acc
 
 
 def _terms(acc: dict[int, int], den: int = 1) -> dict[Partition, object]:
@@ -515,20 +556,23 @@ def _pair_products(pairs: dict, basis_product, min_degree: int | None = None) ->
     Each pair is unordered, stored with p <= q, so the empty shape (id 0)
     can only come first; a product with it is the other factor.  With
     ``min_degree`` set, ``basis_product`` gets the floor as a third argument
-    and terms below it are dropped.
+    and terms below it are dropped (conjugation keeps the degree).  An entry
+    ``basis_product`` returns flipped is summed apart and conjugated once,
+    by ``_fold_flipped``.
     """
     acc: dict[int, int] = {}
+    flipped_acc: dict[int, int] = {}
     for (p, q), factor in pairs.items():
         if not factor:
             continue
         if not p:
-            products = {q: 1}
+            products, flipped = {q: 1}, False
         elif min_degree is None:
-            products = basis_product(p, q)
+            products, flipped = basis_product(p, q)
         else:
-            products = basis_product(p, q, min_degree)
-        _accumulate(acc, products.items(), factor, min_degree)
-    return acc
+            products, flipped = basis_product(p, q, min_degree)
+        _accumulate(flipped_acc if flipped else acc, products.items(), factor, min_degree)
+    return _fold_flipped(acc, flipped_acc)
 
 
 def _bilinear(a: FormalSum, b: FormalSum, basis_product, min_degree: int | None = None) -> dict:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -366,6 +367,16 @@ def test_verify_draws_no_table_for_a_d_without_cases(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: d must be at least 1\n"
 
 
+def test_verify_rejects_a_repeated_d(monkeypatch, capsys):
+    # Two tables drawn for one d would print the same labels twice.
+    drawn = []
+    monkeypatch.setattr(cli, "random_table", lambda *args: drawn.append(args))
+    verify = ["verify", "--prop", "constant", "--k", "4", "--trials", "1"]
+    assert cli.main([*verify, "--d", "1", "--d", "1"]) == 2
+    assert drawn == []
+    assert capsys.readouterr() == ("", "error: --d 1 given twice\n")
+
+
 def test_scan_single_point():
     proc = run_cli("scan", "--a", "1/4", "--b", "3/10", "--degree", "11")
     lines = proc.stdout.splitlines()
@@ -424,6 +435,18 @@ def test_scan_usage():
     run_cli("scan", "--a", "1/4", expect_code=2)
     run_cli("scan", "--grid", "a=0..1:1/2", "--csv", "x.csv", expect_code=2)
     run_cli("scan", "--grid", "a=0..1:1/2,b=0..1:1/2", expect_code=2)
+
+
+def test_scan_rejects_an_oversized_grid(tmp_path, capsys):
+    # The points are counted before any is built: a list of 10^8 fractions
+    # would take minutes and exhaust memory.
+    out = tmp_path / "grid.csv"
+    start = time.perf_counter()
+    code = cli.main(["scan", "--grid", "a=0..1:1/100000000,b=0..0:1", "--csv", str(out)])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: grid has 100000001 points, more than 10000\n")
+    assert not out.exists()
 
 
 def test_scan_zero_denominator_is_a_parse_error(tmp_path):

@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import rectangle_complement, skewing_by_terms
-from stablechar import cache, checks, kr
+from stablechar import cache, checks, kr, schur
 from stablechar.embeddings import Decomposition, image_by_skewing
 from stablechar.kr import (
     domino_removals,
@@ -101,22 +101,51 @@ def test_kr_decomposition_matches_term_by_term_skews():
 
 def test_skew_sums_expand_no_shape_of_weight_zero():
     # A skew expansion of a zero weight would be work, and a memo entry,
-    # that the sum never needed.
+    # that the sum never needed.  lam/mu and lam'/mu' share one entry, so
+    # the skews are compared as conjugate classes.
     lam = Partition((4, 3, 2, 1))
 
-    def skewed():  # the (lam, mu) parts of the keys, read through the registry
-        return {(_parts_of[i], _parts_of[j]) for i, j in cache.table("skew")}
+    def classes(pairs):
+        return {frozenset({(l.parts, m.parts), (l.transpose().parts, m.transpose().parts)})
+                for l, m in pairs}
+
+    def skewed():  # the (lam, mu) of the keys, read through the registry
+        table = cache.table("skew")
+        return classes((Partition(_parts_of[i]), Partition(_parts_of[j])) for i, j in table)
 
     image_by_skewing(Series.one(), lam)  # kappa of p = 1: the even-column sum
-    assert skewed() == {
-        (lam.parts, mu.parts) for mu in subpartitions(lam) if all_even_columns(mu)
-    }
+    even_columns = classes((lam, mu) for mu in subpartitions(lam) if all_even_columns(mu))
+    assert skewed() == even_columns
+    assert len(cache.table("skew")) == len(even_columns)
+    # lam is its own conjugate, so each even-row mu is the conjugate of an
+    # even-column one, whose entry family C reads flipped.
     kr_decomposition(lam, "C")
-    assert skewed() == {
-        (lam.parts, mu.parts)
-        for mu in subpartitions(lam)
-        if all_even_columns(mu) or all_even_rows(mu)
-    }
+    assert skewed() == even_columns
+    assert len(cache.table("skew")) == len(even_columns)
+    assert classes((lam, mu) for mu in subpartitions(lam) if all_even_rows(mu)) == even_columns
+
+
+def test_conjugate_family_square_identity_adds_no_memo_entry(monkeypatch):
+    # W_BD(h x w) is W_C(w x h) with every shape conjugated, so once family
+    # C has checked the square identity at w x h, family BD at h x w reads
+    # every skew and product it needs, flipped, from the entries C stored.
+    tables = [cache.table(name) for name in ("skew", "product", "nl", "nl_truncated")]
+    kernels = []  # the arguments of every strip product and lattice filling
+    for name in ("_strip_product", "_lattice_fillings"):
+
+        def recorded(*args, original=getattr(schur, name)):
+            kernels.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(schur, name, recorded)
+    for height, width in [(3, 2), (2, 3), (3, 3), (4, 2)]:
+        cache.clear_all()
+        assert quadratic_identity_check(width, height, "C").holds
+        sizes = [len(table) for table in tables]
+        kernels.clear()
+        assert quadratic_identity_check(height, width, "BD").holds
+        assert [len(table) for table in tables] == sizes, (height, width)
+        assert not kernels, (height, width)
 
 
 def test_rectangle_check_small():

@@ -10,6 +10,7 @@ from stablechar.kr import kr_decomposition
 from stablechar.partitions import (
     EMPTY,
     Partition,
+    _conjugate_id,
     _parts_of,
     _shape_id,
     partitions_of,
@@ -171,25 +172,39 @@ def test_products_derived_from_conjugate_entries(monkeypatch):
     assert ((2, 1, 1, 1), (1, 1, 1)) in conjugate_orientation
 
 
-def test_transposed_entries_conjugate_every_shape():
-    # A memo entry keyed by shape ids, conjugated, equals the entry of its
-    # parts with every shape transposed; ``least`` drops the lower degrees.
-    for mu in partitions_through(3):
-        for nu in partitions_through(3):
-            if not (mu and nu):
-                continue
-            top = mu.size + nu.size
-            p, q = sorted((_shape_id(mu.parts), _shape_id(nu.parts)))
-            for entry in (schur._schur_basis_product(p, q), bcd._nl_basis_product(p, q)):
-                by_parts = {_parts_of[i]: c for i, c in entry.items()}
-                for least in (0, top - 2):
-                    want = {
-                        Partition(t).transpose().parts: c
-                        for t, c in by_parts.items()
-                        if sum(t) >= least
-                    }
-                    got = schur._transposed(entry, least)
-                    assert {_parts_of[i]: c for i, c in got.items()} == want, (mu, nu, least)
+def test_conjugate_reads_share_one_entry():
+    # (p, q) and (p', q') read one stored entry, flipped on one side unless
+    # the pair is its own conjugate; each read, conjugated when flipped, is
+    # the product the oracles give.
+    def conjugated(terms):
+        return {lam.transpose(): c for lam, c in terms.items()}
+
+    def read(entry, flipped):
+        terms = {Partition(_parts_of[i]): c for i, c in entry.items()}
+        return conjugated(terms) if flipped else terms
+
+    shapes = [mu for mu in partitions_through(4) if mu]
+    for mu in shapes:
+        for nu in shapes:
+            pair = sorted((_shape_id(mu.parts), _shape_id(nu.parts)))
+            pair_t = sorted((_shape_id(mu.transpose().parts), _shape_id(nu.transpose().parts)))
+            short, long_ = sorted((mu, nu), key=len)
+            want_schur = {Partition(t): c for t, c in jt_product(long_, short).items()}
+            want_nl = {}
+            for k in range(min(mu.size, nu.size) + 1):
+                for lam in partitions_of(mu.size + nu.size - 2 * k):
+                    if c := bcd.newell_littlewood(lam, mu, nu):
+                        want_nl[lam] = c
+            for product, want in (
+                (schur._schur_basis_product, want_schur),
+                (bcd._nl_basis_product, want_nl),
+            ):
+                entry, flipped = product(*pair)
+                entry_t, flipped_t = product(*pair_t)
+                assert entry is entry_t, (mu, nu)
+                assert flipped != flipped_t or pair == pair_t, (mu, nu)
+                assert read(entry, flipped) == want, (product.__name__, mu, nu)
+                assert read(entry_t, flipped_t) == conjugated(want), (product.__name__, mu, nu)
 
 
 def test_kernel_tables_are_keyed_by_shape_ids(monkeypatch):
@@ -216,6 +231,12 @@ def test_kernel_tables_are_keyed_by_shape_ids(monkeypatch):
             assert all(type(i) is int for i in key), (name, key)
             if name != "skew":
                 assert key[0] <= key[1], (name, key)
+            # One entry per conjugate class: its conjugate key is not stored.
+            conjugate = tuple(_conjugate_id(i) for i in key[:2])
+            if name != "skew":
+                conjugate = tuple(sorted(conjugate))
+            conjugate += key[2:]
+            assert conjugate == key or conjugate not in table, (name, key)
     sizes = {name: len(table) for name, table in tables.items()}
     strips = _record_calls(monkeypatch, "_strip_product")
     assert products(b, a, sp_b, sp_a) == first
