@@ -2,7 +2,7 @@
 groups: Schur / symplectic / orthogonal expansions, the kernel-built
 embedding family, and Kirillov-Reshetikhin rectangle decompositions."""
 
-from .bcd import bcd_multiply, newell_littlewood
+from .bcd import bcd_multiply
 from .embeddings import (
     Decomposition,
     EmbeddingTable,
@@ -23,16 +23,12 @@ from .kr import (
 from .partitions import (
     EMPTY,
     Partition,
-    all_even_columns,
-    all_even_rows,
-    contains,
     leq_extended,
     partitions_of,
 )
 from .schur import (
     FormalSum,
     dual_jacobi_trudi,
-    lr_coefficient,
     omega,
     schur_multiply,
     skew_expand,

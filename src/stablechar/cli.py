@@ -254,14 +254,16 @@ _MAX_GRID_POINTS = 10_000
 
 
 def _parse_grid(spec: str) -> tuple[list[Fraction], list[Fraction]]:
-    """The a and b values of a grid; its size is checked before any value
-    is built."""
+    """The a and b values of a grid; a component given twice is refused,
+    and the size is checked before any value is built."""
     ranges = {}
     for piece in spec.split(","):
         name, _, body = piece.partition("=")
         name = name.strip()
         if name not in ("a", "b") or not body:
             raise ValueError(f"bad grid component {piece!r}")
+        if name in ranges:
+            raise ValueError(f"grid component {name!r} given twice")
         span, _, step = body.partition(":")
         lo, _, hi = span.partition("..")
         if not step or not hi:

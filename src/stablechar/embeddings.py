@@ -304,7 +304,7 @@ def image_by_skewing(p: Series, lam: Partition) -> Decomposition:
         raise TruncationError(
             f"series truncated at order {p.order} cannot embed a shape of size {lam.size}"
         )
-    weights = ((mu, kappa_coefficient(p, mu)) for mu in subpartitions(lam))
+    weights = ((mu.parts, kappa_coefficient(p, mu)) for mu in subpartitions(lam))
     return Decomposition(lam, "sp", _skew_sum(lam, weights))
 
 

@@ -11,7 +11,8 @@ I.5 Ex. 5)
 so ``kr_decomposition`` skews lam by those shapes directly, through the
 integer skew sum ``schur._skew_sum`` that the kernel route of
 :func:`stablechar.embeddings.image_by_skewing` also takes, with weight 1 on
-each such shape; the kernel route is its test oracle.
+each such shape; the kernel route is its test oracle.  The shapes come from
+``partitions.even_subshapes``, which builds only the shapes kept.
 On rectangles the decompositions match the classical domino-removal
 description, which ``rectangle_check`` verifies by computing both sides
 independently.  ``quadratic_identity_check`` tests the square-of-a-rectangle
@@ -27,7 +28,7 @@ from typing import NamedTuple
 from . import cache
 from .bcd import bcd_multiply
 from .embeddings import Decomposition
-from .partitions import Partition, all_even_columns, all_even_rows, subpartitions
+from .partitions import Partition, even_subshapes
 from .schur import FormalSum, _skew_sum
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "fundamental_weights",
     "weight_notation",
     "weights_json",
-    "weights_to_partition",
     "format_weight_decomposition",
 ]
 
@@ -88,15 +88,15 @@ def kr_decomposition(lam: Partition, family: str) -> Decomposition:
     even rows, in the sp basis; family BD over the mu with even columns, in
     the o basis.  These are the images of s_lam under the embeddings with
     kernels p = 1/(1-x^2) and p = 1, whose kappa kernels are Littlewood's
-    sums of s_mu over those shapes with coefficient 1 each.  Valid in the
-    stable range, i.e. for ranks exceeding the number of parts of lam plus
-    two.
+    sums of s_mu over those shapes with coefficient 1 each.  The mu are
+    generated by ``even_subshapes``, not filtered from every subdiagram.
+    Valid in the stable range, i.e. for ranks exceeding the number of parts
+    of lam plus two.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
-    basis, even = ("sp", all_even_rows) if family == "C" else ("o", all_even_columns)
-    weights = ((mu, 1) for mu in subpartitions(lam) if even(mu))
-    return Decomposition(lam, basis, _skew_sum(lam, weights))
+    weights = ((mu, 1) for mu in even_subshapes(lam, family == "BD"))
+    return Decomposition(lam, "sp" if family == "C" else "o", _skew_sum(lam, weights))
 
 
 class RectangleReport(NamedTuple):
@@ -189,20 +189,6 @@ def weight_notation(lam: Partition) -> str:
 def weights_json(lam: Partition) -> dict:
     """JSON form of the weight notation: {"fundamental": [[l, c], ...]}."""
     return {"fundamental": [[l, c] for l, c in fundamental_weights(lam)]}
-
-
-def weights_to_partition(pairs) -> Partition:
-    """Inverse of :func:`fundamental_weights`."""
-    heights = {}
-    for l, c in pairs:
-        if l < 1 or c < 0:
-            raise ValueError("weights need positive index and nonnegative coefficient")
-        heights[l] = heights.get(l, 0) + c
-    top = max(heights, default=0)
-    parts = []
-    for i in range(1, top + 1):
-        parts.append(sum(c for l, c in heights.items() if l >= i))
-    return Partition(parts)
 
 
 def format_weight_decomposition(dec: Decomposition) -> str:

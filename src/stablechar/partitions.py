@@ -8,6 +8,11 @@ size ascending, then descending lexicographic within a size.
 ``Partition.transpose`` counts the rows longer than each column index in
 one pass over the parts.
 
+``even_subshapes`` lists the even-row or even-column shapes inside a
+partition, the shapes of Littlewood's kernel sums, by enumerating only
+the partitions that they are built from: for a 12 x 12 square that is the
+18,564 shapes kept, not the 2,704,156 subpartitions of the square.
+
 The tableau kernels also name shapes by small int ids (see "Shape ids"
 below): a memo entry is an ``{id: int}`` dict, so its sums hash ints.
 CPython caches no tuple's hash, so a dict keyed by parts tuples hashes the
@@ -24,13 +29,10 @@ __all__ = [
     "Partition",
     "EMPTY",
     "leq_extended",
-    "contains",
     "partitions_of",
     "partitions_through",
     "subpartitions",
-    "all_even_columns",
-    "all_even_rows",
-    "canonical_key",
+    "even_subshapes",
 ]
 
 
@@ -135,11 +137,6 @@ class Partition:
 EMPTY = Partition()
 
 
-def canonical_key(lam: Partition) -> tuple:
-    """Sort key for (size ascending, descending lexicographic) order."""
-    return (lam.size, tuple(-p for p in lam.parts))
-
-
 def leq_extended(mu: Partition, lam: Partition) -> bool:
     """Extended dominance: every partial sum of mu is bounded by lam's.
 
@@ -153,11 +150,6 @@ def leq_extended(mu: Partition, lam: Partition) -> bool:
         if total_mu > total_lam:
             return False
     return True
-
-
-def contains(lam: Partition, mu: Partition) -> bool:
-    """True iff mu's diagram fits inside lam's."""
-    return lam.contains(mu)
 
 
 @lru_cache(maxsize=None)
@@ -200,15 +192,30 @@ def subpartitions(lam: Partition) -> list[Partition]:
     return out
 
 
-def all_even_columns(lam: Partition) -> bool:
-    """True iff every column height is even (lam = (2mu)' for some mu),
-    that is iff the rows come in equal pairs (an odd count never does)."""
-    return lam.parts[0::2] == lam.parts[1::2]
+def _paired_rows(parts: tuple) -> tuple:
+    """The parts with each row repeated: (s_1, s_1, s_2, s_2, ...), the
+    shape whose columns are twice those of ``parts``."""
+    return tuple(r for s in parts for r in (s, s))
 
 
-def all_even_rows(lam: Partition) -> bool:
-    """True iff every part is even."""
-    return all(p % 2 == 0 for p in lam.parts)
+def even_subshapes(lam: Partition, columns: bool) -> Iterator[tuple]:
+    """Parts of the shapes inside lam whose rows are all even (``columns``
+    false) or whose columns are all even (``columns`` true), each once: the
+    shapes of Littlewood's sums (Macdonald I.5 Ex. 5).
+
+    An even-row shape is 2 sigma for sigma inside (lam_1 // 2, lam_2 // 2,
+    ...).  An even-column shape has equal rows 2i - 1 and 2i, so it is
+    ``_paired_rows(sigma)`` for sigma inside (lam_2, lam_4, ...).  Only the
+    sigma are enumerated, by ``subpartitions``, and both maps keep its
+    order, so the shapes come in the order in which ``subpartitions(lam)``
+    lists them.
+    """
+    if columns:
+        half = lam.parts[1::2]
+    else:
+        half = tuple(p // 2 for p in lam.parts if p > 1)
+    for sigma in subpartitions(Partition._trusted(half)):
+        yield _paired_rows(sigma.parts) if columns else tuple(2 * s for s in sigma.parts)
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,11 @@ from typing import Iterable, NamedTuple
 from .partitions import (
     EMPTY,
     Partition,
-    _conjugate_id,
+    _paired_rows,
     _partitions_tuples,
     _shape_id,
+    even_subshapes,
     partitions_of,
-    subpartitions,
 )
 from .schur import FormalSum, _integers, _pair_products, _schur_basis_product, _terms
 
@@ -59,7 +59,6 @@ __all__ = [
     "QuadraticScanReport",
     "quadratic_scan",
     "quadratic_boundary",
-    "root_of_critical_cubic",
     "random_rational",
 ]
 
@@ -306,8 +305,7 @@ def kappa_coefficient(p: Series, mu: Partition):
 
     Splitting the kernel into its two factors gives a sum of skew-shaped
     Jacobi-Trudi determinants det(a_{mu_i - rho_j - i + j}) over the
-    even-column subdiagrams rho of mu.  These are the shapes
-    (s_1, s_1, s_2, s_2, ...) for s contained in (mu_2, mu_4, ...).
+    even-column subdiagrams rho of mu, which ``even_subshapes`` lists.
     The coefficients are memoized in p's state (see ``_state``).
     """
     kappa = _state(p)[3]
@@ -315,11 +313,7 @@ def kappa_coefficient(p: Series, mu: Partition):
     cached = kappa.get(parts)
     if cached is not None:
         return cached
-    total = 0
-    for sigma in subpartitions(Partition._trusted(parts[1::2])):
-        rho = tuple(r for s in sigma.parts for r in (s, s))
-        total += _det(p, parts, rho)
-    total = kappa[parts] = _norm_coeff(total)
+    total = kappa[parts] = _norm_coeff(sum(_det(p, parts, rho) for rho in even_subshapes(mu, True)))
     return total
 
 
@@ -357,16 +351,16 @@ def kappa_expansion(p: Series, cutoff: int) -> KappaExpansion:
     """Expansion of the kappa kernel of p through total degree ``cutoff``.
 
     The product expansion times the even-column sum, summed in integers one
-    degree d at a time.  Each scaled minor m_lam of ``_scaled_minors`` meets
-    each even-column shape eps of size d - |lam| as one unordered pair of
-    shape ids (lam, eps) with factor m_lam L^{|eps|}; the products of the
-    pairs go into one accumulator, divided once by L^d.
+    degree d at a time.  The even-column shapes of size 2h are the
+    partitions of h with each row repeated, as ``even_subshapes`` builds
+    them.  Each scaled minor m_lam of ``_scaled_minors`` meets each
+    even-column shape eps of size d - |lam| as one unordered pair of shape
+    ids (lam, eps) with factor m_lam L^{|eps|}; the products of the pairs go
+    into one accumulator, divided once by L^d.
     """
     den, minors = _scaled_minors(p, cutoff)
-    # The even-column shapes of size 2h: the conjugates of the doubled
-    # partitions of h.
     evens = [
-        [_conjugate_id(_shape_id(tuple(2 * p for p in mu))) for mu in _partitions_tuples(h, h)]
+        [_shape_id(_paired_rows(mu)) for mu in _partitions_tuples(h, h)]
         for h in range(cutoff // 2 + 1)
     ]
     graded = {}
@@ -587,20 +581,3 @@ def _isqrt_exact(n: int) -> int | None:
 
     r = math.isqrt(n)
     return r if r * r == n else None
-
-
-def _critical_cubic(z: Fraction) -> Fraction:
-    return 2 * z**3 + 3 * z**2 + z - 1
-
-
-def root_of_critical_cubic(tolerance: Fraction = Fraction(1, 10**7)) -> Fraction:
-    """Real root of 2z^3 + 3z^2 + z - 1, bracketed by exact sign bisection."""
-    lo, hi = Fraction(0), Fraction(1)
-    assert _critical_cubic(lo) < 0 < _critical_cubic(hi)
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2
-        if _critical_cubic(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2

@@ -13,6 +13,17 @@ graded slices multiplied by ``schur_multiply`` and summed as ``FormalSum``s,
 against ``kappa_expansion``.  ``skewing_by_terms`` sums weighted
 ``skew_expand`` results term by term, against the one skew sum of
 ``image_by_skewing`` and ``kr_decomposition``.
+
+The rest is used only by the tests, so it lives here rather than in the
+engine.  ``newell_littlewood`` evaluates one Newell-Littlewood constant by
+the triple sum over (alpha, beta, gamma) of ``skew_expand`` coefficients,
+read one at a time through ``lr_coefficient``, against ``bcd_multiply``.
+``all_even_rows`` and ``all_even_columns`` test a shape directly, against
+``partitions.even_subshapes``, which builds the even shapes from smaller
+partitions.  ``canonical_key`` is the sort key of the canonical order,
+``weights_to_partition`` inverts ``kr.fundamental_weights``, and
+``root_of_critical_cubic`` brackets the root of the quadratic kernel's
+critical cubic by exact bisection.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from stablechar.partitions import Partition, all_even_columns, partitions_of, subpartitions
+from stablechar.partitions import Partition, partitions_of, subpartitions
 from stablechar.schur import FormalSum, schur_multiply, skew_expand
 from stablechar.series import KappaExpansion, product_expansion
 
@@ -214,3 +225,82 @@ def skewing_by_terms(lam: Partition, weight, basis: str) -> FormalSum:
     for mu in subpartitions(lam):
         total = total + skew_expand(lam, mu).scaled(weight(mu))
     return FormalSum(basis, total.terms)
+
+
+def all_even_columns(lam: Partition) -> bool:
+    """True iff every column height is even (lam = (2mu)' for some mu),
+    that is iff the rows come in equal pairs (an odd count never does)."""
+    return lam.parts[0::2] == lam.parts[1::2]
+
+
+def all_even_rows(lam: Partition) -> bool:
+    """True iff every part is even."""
+    return all(p % 2 == 0 for p in lam.parts)
+
+
+def canonical_key(lam: Partition) -> tuple:
+    """Sort key for (size ascending, descending lexicographic) order."""
+    return (lam.size, tuple(-p for p in lam.parts))
+
+
+def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Littlewood-Richardson coefficient: multiplicity of lam in mu * nu,
+    read off the skew expansion of lam/mu."""
+    if lam.size != mu.size + nu.size:
+        return 0
+    return skew_expand(lam, mu).coefficient(nu)
+
+
+def newell_littlewood(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Multiplicity of sp_lam in sp_mu * sp_nu.
+
+    Vanishes unless |lam| = |mu| + |nu| - 2k for some k >= 0; agrees with
+    the Littlewood-Richardson coefficient at k = 0.
+    """
+    drop = mu.size + nu.size - lam.size
+    if drop < 0 or drop % 2:
+        return 0
+    half = drop // 2
+    total = 0
+    for alpha in subpartitions(Partition(map(min, mu.parts, nu.parts))):
+        if alpha.size != half:
+            continue
+        left = skew_expand(mu, alpha)
+        right = skew_expand(nu, alpha)
+        for beta, cb in left.terms.items():
+            for gamma, cg in right.terms.items():
+                c = lr_coefficient(lam, beta, gamma)
+                if c:
+                    total += cb * cg * c
+    return total
+
+
+def weights_to_partition(pairs) -> Partition:
+    """Inverse of :func:`stablechar.kr.fundamental_weights`."""
+    heights = {}
+    for l, c in pairs:
+        if l < 1 or c < 0:
+            raise ValueError("weights need positive index and nonnegative coefficient")
+        heights[l] = heights.get(l, 0) + c
+    top = max(heights, default=0)
+    parts = []
+    for i in range(1, top + 1):
+        parts.append(sum(c for l, c in heights.items() if l >= i))
+    return Partition(parts)
+
+
+def _critical_cubic(z: Fraction) -> Fraction:
+    return 2 * z**3 + 3 * z**2 + z - 1
+
+
+def root_of_critical_cubic(tolerance: Fraction = Fraction(1, 10**7)) -> Fraction:
+    """Real root of 2z^3 + 3z^2 + z - 1, bracketed by exact sign bisection."""
+    lo, hi = Fraction(0), Fraction(1)
+    assert _critical_cubic(lo) < 0 < _critical_cubic(hi)
+    while hi - lo > tolerance:
+        mid = (lo + hi) / 2
+        if _critical_cubic(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2

@@ -11,17 +11,21 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import (
+    all_even_columns,
+    all_even_rows,
+    canonical_key,
+    newell_littlewood,
+    root_of_critical_cubic,
+)
 from stablechar import checks
-from stablechar.bcd import bcd_multiply, newell_littlewood
+from stablechar.bcd import bcd_multiply
 from stablechar.cli import main as cli_main
 from stablechar.embeddings import image_by_skewing, parity_coefficient, random_table
 from stablechar.kr import format_weight_decomposition, kr_decomposition
 from stablechar.partitions import (
     EMPTY,
     Partition,
-    all_even_columns,
-    all_even_rows,
-    canonical_key,
     partitions_of,
     partitions_through,
 )
@@ -35,7 +39,6 @@ from stablechar.series import (
     quadratic_scan,
     random_rational,
     real_negative_roots,
-    root_of_critical_cubic,
 )
 
 

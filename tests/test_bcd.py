@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import newell_littlewood
 from stablechar import bcd, cache
-from stablechar.bcd import bcd_multiply, newell_littlewood
+from stablechar.bcd import bcd_multiply
 from stablechar.partitions import EMPTY, Partition, _parts_of, partitions_of, partitions_through
 from stablechar.schur import BasisMismatchError, FormalSum, omega, schur_multiply
 

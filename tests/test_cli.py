@@ -449,6 +449,17 @@ def test_scan_rejects_an_oversized_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_scan_rejects_a_repeated_grid_component(tmp_path, capsys):
+    # A second a= used to replace the first silently.
+    out = tmp_path / "grid.csv"
+    code = cli.main(
+        ["scan", "--grid", "a=0..1:1/2,a=1/4..1/4:1,b=0..0:1", "--csv", str(out), "--degree", "3"]
+    )
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: grid component 'a' given twice\n")
+    assert not out.exists()
+
+
 def test_scan_zero_denominator_is_a_parse_error(tmp_path):
     proc = run_cli("scan", "--a", "1/0", "--b", "1", expect_code=2)
     assert proc.stdout == ""

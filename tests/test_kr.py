@@ -1,7 +1,15 @@
+import sys
+
 import pytest
 
-from oracles import rectangle_complement, skewing_by_terms
-from stablechar import cache, checks, kr, schur
+from oracles import (
+    all_even_columns,
+    all_even_rows,
+    rectangle_complement,
+    skewing_by_terms,
+    weights_to_partition,
+)
+from stablechar import cache, checks, kr, partitions, schur
 from stablechar.embeddings import Decomposition, image_by_skewing
 from stablechar.kr import (
     domino_removals,
@@ -12,14 +20,11 @@ from stablechar.kr import (
     rectangle_check,
     weight_notation,
     weights_json,
-    weights_to_partition,
 )
 from stablechar.partitions import (
     EMPTY,
     Partition,
     _parts_of,
-    all_even_columns,
-    all_even_rows,
     partitions_through,
     subpartitions,
 )
@@ -90,6 +95,28 @@ def test_kr_decomposition_matches_kernel_route():
         bd_dec = image_by_skewing(one, lam)
         assert kr_decomposition(lam, "C") == Decomposition(lam, "sp", c_dec.terms)
         assert kr_decomposition(lam, "BD") == Decomposition(lam, "o", bd_dec.terms)
+
+
+def test_kr_decomposition_builds_only_the_shapes_it_keeps(monkeypatch):
+    # Every subdiagram that the engine enumerates is counted, under each
+    # name a module binds subpartitions to.  Each even shape mu inside a
+    # rectangle skews it to one shape of its own, so the terms count the
+    # shapes kept; filtering all 12,870 subdiagrams of 8x8 would keep 495.
+    built = []
+
+    def recorded(lam, original=partitions.subpartitions):
+        out = original(lam)
+        built.append(len(out))
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stablechar") and getattr(module, "subpartitions", None) is not None:
+            monkeypatch.setattr(module, "subpartitions", recorded)
+    for family in ("C", "BD"):
+        built.clear()
+        dec = kr_decomposition(P(8, 8, 8, 8, 8, 8, 8, 8), family)
+        assert len(dec.terms) == 495
+        assert sum(built) == len(dec.terms), family
 
 
 def test_kr_decomposition_matches_term_by_term_skews():

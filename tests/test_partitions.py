@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import partition_count
+from oracles import all_even_columns, all_even_rows, canonical_key, partition_count
 from stablechar import cache
 from stablechar.bcd import bcd_multiply
 from stablechar.partitions import (
@@ -14,10 +14,7 @@ from stablechar.partitions import (
     _shape,
     _shape_id,
     _size_of,
-    all_even_columns,
-    all_even_rows,
-    canonical_key,
-    contains,
+    even_subshapes,
     leq_extended,
     partitions_of,
     partitions_through,
@@ -78,9 +75,9 @@ def test_leq_extended_reflexive_transitive():
 
 
 def test_contains_examples():
-    assert contains(Partition((3, 2, 2)), Partition((2, 2)))
-    assert not contains(Partition((2,)), Partition((1, 1)))
-    assert contains(Partition((4, 1)), EMPTY)
+    assert Partition((3, 2, 2)).contains(Partition((2, 2)))
+    assert not Partition((2,)).contains(Partition((1, 1)))
+    assert Partition((4, 1)).contains(EMPTY)
 
 
 def test_contains_implies_leq_extended():
@@ -122,6 +119,15 @@ def test_even_columns_rows():
     assert not all_even_columns(Partition((1,)))
     for lam in partitions_through(10):
         assert all_even_columns(lam) == all_even_rows(lam.transpose())
+
+
+def test_even_subshapes_match_the_predicates():
+    # The generated shapes are exactly the subdiagrams that pass the
+    # predicate, each once and in the order of subpartitions.
+    for lam in partitions_through(12):
+        for columns, even in ((False, all_even_rows), (True, all_even_columns)):
+            want = [mu.parts for mu in subpartitions(lam) if even(mu)]
+            assert list(even_subshapes(lam, columns)) == want, (lam, columns)
 
 
 def test_subpartitions_count_for_box():

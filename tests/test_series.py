@@ -3,15 +3,20 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import bareiss_det, kappa_by_slices, leibniz_det
+from oracles import (
+    all_even_columns,
+    all_even_rows,
+    bareiss_det,
+    kappa_by_slices,
+    leibniz_det,
+    root_of_critical_cubic,
+)
 
 from stablechar import cache
 from stablechar.embeddings import kappa_coefficient
 from stablechar.partitions import (
     EMPTY,
     Partition,
-    all_even_columns,
-    all_even_rows,
     partitions_of,
     partitions_through,
 )
@@ -31,7 +36,6 @@ from stablechar.series import (
     quadratic_scan,
     random_rational,
     real_negative_roots,
-    root_of_critical_cubic,
 )
 
 rationals = st.fractions(
