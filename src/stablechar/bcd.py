@@ -18,10 +18,11 @@ s_beta * s_gamma.  Given a degree floor from ``bcd_multiply(...,
 min_degree)`` it sums only the alpha that reach the floor.
 
 The memo tables live in :mod:`cache`, keyed by shape ids (see
-:mod:`stablechar.partitions`) and holding ``{id: int}`` entries over shape
-ids: ``nl`` holds full basis products, keyed by the unordered pair (p, q)
-with p <= q, and ``nl_truncated`` products cut below a floor, keyed (p, q,
-largest |alpha|).  A cached full product also answers truncated requests.
+:mod:`stablechar.partitions`) and holding the (ids, mults) entries of
+:mod:`stablechar.schur`, which ``schur._entry`` builds: ``nl`` holds full
+basis products, keyed by the unordered pair (p, q) with p <= q, and
+``nl_truncated`` products cut below a floor, keyed (p, q, largest
+|alpha|).  A cached full product also answers truncated requests.
 
 The constants are invariant under conjugating all three shapes,
 N^lam_{mu,nu} = N^{lam'}_{mu',nu'} (Koike-Terada, J. Algebra 107, 1987),
@@ -41,8 +42,10 @@ from . import cache
 from .partitions import Partition, _conjugate_id, _parts_of, _shape_id, _size_of, subpartitions
 from .schur import (
     BasisMismatchError,
+    Entry,
     FormalSum,
     _bilinear,
+    _entry,
     _pair_products,
     _schur_basis_product,
     _skew_terms,
@@ -50,10 +53,10 @@ from .schur import (
 
 __all__ = ["bcd_multiply"]
 
-_nl_cache: dict[tuple, dict[int, int]] = cache.table("nl")
+_nl_cache: dict[tuple, Entry] = cache.table("nl")
 # Products truncated below a degree floor, keyed (p, q, largest |alpha|);
 # the full products are in ``nl``.
-_nl_truncated_cache: dict[tuple, dict[int, int]] = cache.table("nl_truncated")
+_nl_truncated_cache: dict[tuple, Entry] = cache.table("nl_truncated")
 
 
 def _meet(mu: tuple, nu: tuple) -> Partition:
@@ -63,7 +66,7 @@ def _meet(mu: tuple, nu: tuple) -> Partition:
 
 def _nl_basis_product(
     p: int, q: int, min_degree: int | None = None
-) -> tuple[dict[int, int], bool]:
+) -> tuple[Entry, bool]:
     """(entry, flipped): sp_p * sp_q for the ids p <= q of nonempty shapes,
     or at least its terms of degree >= ``min_degree``, as a memo entry, and
     whether it is the entry of sp_p' * sp_q', whose terms are the
@@ -108,7 +111,8 @@ def _nl_basis_product(
             for g, cg in right:
                 pair = (b, g) if b <= g else (g, b)
                 pairs[pair] = pairs.get(pair, 0) + cb * cg
-    out = memo[key] = _pair_products(pairs, _schur_basis_product)
+    sums = {t: c for t, c in _pair_products(pairs, _schur_basis_product).items() if c}
+    out = memo[key] = _entry(sums, sums.values())
     return out, flipped
 
 

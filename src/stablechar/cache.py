@@ -6,17 +6,20 @@ only ever inserted, so sharing the tables across threads is safe under the
 usual dict guarantees.
 
 The kernel tables (``skew``, ``product``, ``nl``, ``nl_truncated``) are
-keyed by shape ids and hold ``{id: int}`` entries over shape ids: ``skew``
-by (lam, mu), the three product tables by the unordered pair (p, q) with p
-<= q, and ``nl_truncated`` by (p, q, top), top the largest |alpha| its
-entry sums.  The ids come from the registry of
+keyed by shape ids.  Each entry is a pair of tuples of equal length, the
+shape ids of its terms and their multiplicities, built and read through
+the helpers of :mod:`stablechar.schur` (``_entry``, ``_entry_items``).
+``skew`` is keyed by (lam, mu) and holds no rectangle lam, whose skews
+need no table; the three product tables are keyed by the unordered pair
+(p, q) with p <= q, and ``nl_truncated`` by (p, q, top), top the largest
+|alpha| its entry sums.  The ids come from the registry of
 :mod:`stablechar.partitions`.  Each table holds one entry per conjugate
 class: a key and its conjugate key ((lam', mu'), or the sorted pair (p',
 q') with the same top) share the entry stored under the smaller of the
 two, with its terms in that key's orientation, and a read of the other
-key returns it flipped (see :mod:`stablechar.schur`).  One table holds whole characters instead:
-``w``, the W characters of :mod:`stablechar.kr`, keyed by (rectangle parts,
-family).
+key returns it flipped (see :mod:`stablechar.schur`).  One table holds
+whole characters instead: ``w``, the W characters of :mod:`stablechar.kr`,
+keyed by (rectangle parts, family).
 
 ``clear_all`` empties these tables and nothing else.  It leaves alone:
 

@@ -15,10 +15,12 @@ each such shape; the kernel route is its test oracle.  The shapes come from
 ``partitions.even_subshapes``, which builds only the shapes kept.
 On rectangles the decompositions match the classical domino-removal
 description, which ``rectangle_check`` verifies by computing both sides
-independently.  ``quadratic_identity_check`` tests the square-of-a-rectangle
-identity in the character ring; its W characters are memoized in the memo
-table ``w`` of :mod:`cache`, keyed by (rectangle parts, family), which
-lives only in memory.
+independently: ``domino_removals`` takes its closure over parts tuples and
+builds a ``Partition`` once per shape it returns.
+``quadratic_identity_check`` tests the square-of-a-rectangle identity in
+the character ring; its W characters are memoized in the memo table ``w``
+of :mod:`cache`, keyed by (rectangle parts, family), which lives only in
+memory.
 """
 
 from __future__ import annotations
@@ -49,36 +51,41 @@ FAMILIES = ("C", "BD")
 ORIENTATIONS = ("horizontal", "vertical")
 
 
-def _single_removals(lam: Partition, orientation: str) -> list[Partition]:
-    parts = lam.parts
-    out = []
-    if orientation == "horizontal":
-        for r in range(len(parts)):
-            nxt = parts[r + 1] if r + 1 < len(parts) else 0
-            if parts[r] - 2 >= nxt:
-                out.append(parts[:r] + (parts[r] - 2,) + parts[r + 1 :])
+def _single_removals(parts: tuple, horizontal: bool):
+    """The parts of each shape left by removing one domino from ``parts``.
+
+    Only the last row can be emptied by a horizontal domino, and only the
+    last two rows, both at once, by a vertical one; those rows are dropped,
+    so every shape comes without trailing zeros."""
+    n = len(parts)
+    if horizontal:
+        for r in range(n):
+            p = parts[r]
+            if p - 2 >= (parts[r + 1] if r + 1 < n else 0):
+                yield parts[:r] + (p - 2,) + parts[r + 1 :] if p > 2 else parts[:r]
     else:
-        for r in range(len(parts) - 1):
-            below = parts[r + 2] if r + 2 < len(parts) else 0
-            if parts[r] == parts[r + 1] and parts[r + 1] - 1 >= below:
-                out.append(parts[:r] + (parts[r] - 1, parts[r + 1] - 1) + parts[r + 2 :])
-    # Zero parts are left only at the end, by a domino taken from the last rows.
-    return [Partition._trusted(tuple(x for x in new if x)) for new in out]
+        for r in range(n - 1):
+            p = parts[r]
+            if p == parts[r + 1] and p - 1 >= (parts[r + 2] if r + 2 < n else 0):
+                yield parts[:r] + (p - 1, p - 1) + parts[r + 2 :] if p > 1 else parts[:r]
 
 
 def domino_removals(lam: Partition, orientation: str) -> set[Partition]:
-    """Closure of lam under removing one domino at a time (lam included)."""
+    """Closure of lam under removing one domino at a time (lam included).
+
+    The closure is taken over parts tuples; each shape of the returned set
+    is built as a ``Partition`` once."""
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
-    seen = {lam}
-    frontier = [lam]
+    horizontal = orientation == "horizontal"
+    seen = {lam.parts}
+    frontier = [lam.parts]
     while frontier:
-        cur = frontier.pop()
-        for nxt in _single_removals(cur, orientation):
+        for nxt in _single_removals(frontier.pop(), horizontal):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return seen
+    return {Partition._trusted(parts) for parts in seen}
 
 
 def kr_decomposition(lam: Partition, family: str) -> Decomposition:

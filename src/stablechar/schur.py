@@ -18,11 +18,23 @@ The memo entries are keyed by shape ids (see :mod:`stablechar.partitions`):
 lam/mu by (lam, mu), and the product of p and q by the unordered pair (p,
 q) with p <= q.  One entry serves a key and its conjugate key (lam'/mu',
 or the sorted pair of p' and q'), stored under the smaller of the two.
-Each entry is an ``{id: int}`` dict over shape ids, and every sum is taken
-on those ids: CPython caches no tuple's hash, so a key or an accumulator
-made of parts tuples would hash whole tuples on every lookup.
+Each entry is a pair of tuples of equal length, (ids, mults): the shape
+ids of its terms and their nonzero multiplicities.  As two tuples a term
+costs two pointers, where a dict slot costs several times that; the ids
+are the registry's ints and small multiplicities are shared ints.  Only
+this module knows the layout: ``_entry`` builds an entry and
+``_entry_items`` reads its (id, mult) terms, in the order it was built.
+Every sum is taken on ids: CPython caches no tuple's hash, so a key or an
+accumulator made of parts tuples would hash whole tuples on every lookup.
 ``_lattice_fillings`` and ``_strip_product`` still compute on parts; their
 results are converted to ids once, by ``_by_id``, when they are stored.
+
+A rectangle (w^h) needs no tableaux: it skews by mu to the single shape
+(w - mu_h, ..., w - mu_1), the complement of mu turned by 180 degrees, with
+multiplicity 1.  ``_skew`` answers such a skew from the parts alone, before
+any memo lookup, and stores nothing; ``_lattice_fillings``, which the tests
+hold it against, serves every other shape.
+
 ``schur_multiply`` and ``bcd.bcd_multiply`` share one bilinear accumulation
 that scales both operands to integer coefficients, merges (mu, nu) and (nu,
 mu) into one unordered pair of ids before any basis product is looked up,
@@ -48,7 +60,8 @@ the caller conjugates instead, once per distinct shape of its result.
 accumulator of their own and fold it in conjugated, by ``_fold_flipped``;
 ``skew_expand`` and the Newell-Littlewood pair loop of :mod:`bcd` read a
 skew through ``_skew_terms``, which maps the ids of a flipped entry to
-their conjugates.
+their conjugates and returns a list, as the pair loop reads one side once
+per term of the other.
 An entry neither key answers is computed in the orientation of the key it
 is stored under.  A product is built by ``_strip_product`` in the
 orientation whose content (the factor with fewer rows) is shorter: on mu'
@@ -276,18 +289,34 @@ class FormalSum:
 # Lattice fillings of a fixed skew shape.
 # ---------------------------------------------------------------------------
 
-_skew_cache: dict[tuple, dict[int, int]] = cache.table("skew")
-_product_cache: dict[tuple, dict[int, int]] = cache.table("product")
+# A memo entry: the shape ids of its terms and their multiplicities.
+Entry = tuple[tuple[int, ...], tuple[int, ...]]
+
+_skew_cache: dict[tuple, Entry] = cache.table("skew")
+_product_cache: dict[tuple, Entry] = cache.table("product")
 
 
-def _transposed(terms: dict[int, int]) -> dict[int, int]:
-    """A memo entry's terms, every shape conjugated."""
-    return {_conjugate_id(t): c for t, c in terms.items()}
+def _entry(ids, mults) -> Entry:
+    """The memo entry of the terms with these shape ids and multiplicities,
+    given in one order: two tuples of equal length."""
+    return tuple(ids), tuple(mults)
 
 
-def _by_id(terms: dict[tuple, int]) -> dict[int, int]:
-    """Terms keyed by parts, keyed by shape id instead: a memo entry."""
-    return {_shape_id(t): c for t, c in terms.items()}
+def _entry_items(entry: Entry):
+    """The (shape id, mult) terms of a memo entry, in its order."""
+    return zip(*entry)
+
+
+def _transposed(entry: Entry) -> Entry:
+    """A memo entry with every shape conjugated; it shares the
+    multiplicities of ``entry``."""
+    ids, mults = entry
+    return _entry(map(_conjugate_id, ids), mults)
+
+
+def _by_id(terms: dict[tuple, int]) -> Entry:
+    """Terms keyed by parts, as a memo entry over their shape ids."""
+    return _entry(map(_shape_id, terms), terms.values())
 
 
 def _lattice_fillings(lamp: tuple, mup: tuple) -> dict[tuple, int]:
@@ -336,10 +365,20 @@ def _lattice_fillings(lamp: tuple, mup: tuple) -> dict[tuple, int]:
     return tally
 
 
-def _skew(lam: int, mu: int) -> tuple[dict[int, int], bool]:
+def _skew(lam: int, mu: int) -> tuple[Entry, bool]:
     """(entry, flipped): the memo entry of lam/mu for shape ids lam and mu,
     mu inside lam, and whether it is the entry of lam'/mu', whose terms are
-    the conjugates of those of lam/mu."""
+    the conjugates of those of lam/mu.
+
+    A rectangle lam = (w^h) skews to one shape: lam/mu is the complement of
+    mu in the h x w box turned by 180 degrees, (w - mu_h, ..., w - mu_1)
+    with zeros dropped, with multiplicity 1.  That entry is built on each
+    call and never stored."""
+    parts = _parts_of[lam]
+    if parts and parts[0] == parts[-1]:
+        width, inner = parts[0], _parts_of[mu]
+        rest = tuple(width - m for m in reversed(inner) if m < width)
+        return ((_shape_id((width,) * (len(parts) - len(inner)) + rest),), (1,)), False
     key = (lam, mu)
     cached = _skew_cache.get(key)
     if cached is not None:
@@ -354,13 +393,14 @@ def _skew(lam: int, mu: int) -> tuple[dict[int, int], bool]:
     return cached, flipped
 
 
-def _skew_terms(lam: int, mu: int):
+def _skew_terms(lam: int, mu: int) -> list[tuple[int, int]]:
     """The (shape id, mult) terms of lam/mu, read from its memo entry and
-    conjugated back if the entry is stored under lam'/mu'."""
+    conjugated back if the entry is stored under lam'/mu'.  A list, so a
+    caller can read it more than once."""
     entry, flipped = _skew(lam, mu)
     if flipped:
-        return [(_conjugate_id(t), c) for t, c in entry.items()]
-    return entry.items()
+        return [(_conjugate_id(t), c) for t, c in _entry_items(entry)]
+    return list(_entry_items(entry))
 
 
 def _skew_sum(lam: Partition, weights) -> dict[Partition, object]:
@@ -378,7 +418,7 @@ def _skew_sum(lam: Partition, weights) -> dict[Partition, object]:
     acc: dict[int, int] = {}
     flipped_acc: dict[int, int] = {}
     for (_, entry, flipped), w in zip(entries, ints):
-        _accumulate(flipped_acc if flipped else acc, entry.items(), w)
+        _accumulate(flipped_acc if flipped else acc, _entry_items(entry), w)
     return _terms(_fold_flipped(acc, flipped_acc), den)
 
 
@@ -470,7 +510,7 @@ def _product_order(mu: tuple, nu: tuple) -> tuple[tuple, tuple]:
     return mu, nu
 
 
-def _schur_basis_product(p: int, q: int) -> tuple[dict[int, int], bool]:
+def _schur_basis_product(p: int, q: int) -> tuple[Entry, bool]:
     """(entry, flipped): s_p * s_q for the ids p <= q of nonempty shapes, as
     a memo entry, and whether it is the entry of s_p' * s_q', whose terms
     are the conjugates of those of s_p * s_q."""
@@ -557,12 +597,12 @@ def _pair_products(pairs: dict, basis_product, min_degree: int | None = None) ->
         if not factor:
             continue
         if not p:
-            products, flipped = {q: 1}, False
+            products, flipped = ((q,), (1,)), False
         elif min_degree is None:
             products, flipped = basis_product(p, q)
         else:
             products, flipped = basis_product(p, q, min_degree)
-        _accumulate(flipped_acc if flipped else acc, products.items(), factor, min_degree)
+        _accumulate(flipped_acc if flipped else acc, _entry_items(products), factor, min_degree)
     return _fold_flipped(acc, flipped_acc)
 
 

@@ -9,7 +9,7 @@ from oracles import newell_littlewood
 from stablechar import bcd, cache
 from stablechar.bcd import bcd_multiply
 from stablechar.partitions import EMPTY, Partition, _parts_of, partitions_of, partitions_through
-from stablechar.schur import BasisMismatchError, FormalSum, omega, schur_multiply
+from stablechar.schur import BasisMismatchError, FormalSum, _entry_items, omega, schur_multiply
 
 
 def sp(*parts):
@@ -142,7 +142,7 @@ def test_truncated_rational_products_match_full_products():
     # Only full products reach the ``nl`` table, whose keys and entries are
     # shape ids; the registry names their parts.
     stored = {
-        key: {Partition(_parts_of[t]): c for t, c in value.items()}
+        key: {Partition(_parts_of[t]): c for t, c in _entry_items(value)}
         for key, value in cache.table("nl").items()
     }
     cache.clear_all()

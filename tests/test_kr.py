@@ -44,6 +44,19 @@ def test_domino_removals_examples():
         domino_removals(P(2, 2), "diagonal")
 
 
+def test_domino_removals_are_zero_free_partitions():
+    # A domino can empty the last row, or the last two rows at once; no
+    # returned shape keeps a zero part.
+    for lam in partitions_through(10):
+        for orientation in ("horizontal", "vertical"):
+            closure = domino_removals(lam, orientation)
+            assert lam in closure
+            for mu in closure:
+                assert type(mu) is Partition and all(mu.parts), (lam, orientation, mu)
+                assert Partition(mu.parts) == mu and lam.contains(mu), (lam, orientation, mu)
+                assert (lam.size - mu.size) % 2 == 0, (lam, orientation, mu)
+
+
 def test_domino_removals_conjugate_symmetry():
     for lam in partitions_through(7):
         horizontal = {m.transpose() for m in domino_removals(lam, "horizontal")}

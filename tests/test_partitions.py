@@ -20,7 +20,7 @@ from stablechar.partitions import (
     partitions_through,
     subpartitions,
 )
-from stablechar.schur import FormalSum
+from stablechar.schur import FormalSum, _entry_items
 
 partition_strategy = st.lists(st.integers(1, 6), max_size=6).map(
     lambda parts: Partition(sorted(parts, reverse=True))
@@ -179,7 +179,7 @@ def test_shape_ids_survive_clearing_the_memo_tables():
         FormalSum.single("sp", Partition((3, 1))), FormalSum.single("sp", Partition((2, 2)))
     )
     named = {
-        i: _parts_of[i] for entry in cache.table("nl").values() for i in entry
+        i: _parts_of[i] for entry in cache.table("nl").values() for i, _ in _entry_items(entry)
     }
     assert named and all(i for i in named)
     shared = {lam.parts: lam for lam in product.terms}

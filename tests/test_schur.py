@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import jt_product, leibniz_dual_jacobi_trudi, lr_coefficient, newell_littlewood
+from oracles import (
+    jt_product,
+    leibniz_dual_jacobi_trudi,
+    lr_coefficient,
+    newell_littlewood,
+    rectangle_complement,
+)
 from stablechar import bcd, cache, schur
 from stablechar.kr import kr_decomposition
 from stablechar.partitions import (
@@ -179,7 +185,7 @@ def test_conjugate_reads_share_one_entry():
         return {lam.transpose(): c for lam, c in terms.items()}
 
     def read(entry, flipped):
-        terms = {Partition(_parts_of[i]): c for i, c in entry.items()}
+        terms = {Partition(_parts_of[i]): c for i, c in schur._entry_items(entry)}
         return conjugated(terms) if flipped else terms
 
     shapes = [mu for mu in partitions_through(4) if mu]
@@ -236,11 +242,42 @@ def test_kernel_tables_are_keyed_by_shape_ids(monkeypatch):
                 conjugate = tuple(sorted(conjugate))
             conjugate += key[2:]
             assert conjugate == key or conjugate not in table, (name, key)
+            # Each entry is two tuples of equal length: the shape ids of its
+            # terms and their multiplicities, none of them zero.
+            entry = table[key]
+            assert type(entry) is tuple and len(entry) == 2, (name, key)
+            ids, mults = entry
+            assert type(ids) is tuple and type(mults) is tuple, (name, key)
+            assert ids and len(ids) == len(mults), (name, key)
+            assert all(type(i) is int for i in ids + mults), (name, key)
+            assert all(mults), (name, key)
     sizes = {name: len(table) for name, table in tables.items()}
     strips = _record_calls(monkeypatch, "_strip_product")
     assert products(b, a, sp_b, sp_a) == first
     assert not strips
     assert {name: len(table) for name, table in tables.items()} == sizes
+
+
+def test_rectangle_skews_are_complements_without_fillings(monkeypatch):
+    # A rectangle skews by mu to the complement of mu turned by 180 degrees;
+    # _skew answers it without a lattice filling and stores nothing.
+    fillings = schur._lattice_fillings
+    calls = _record_calls(monkeypatch, "_lattice_fillings")
+    for height in range(1, 7):
+        for width in range(1, 7):
+            rect = Partition((width,) * height)
+            lam = _shape_id(rect.parts)
+            for mu in subpartitions(rect):
+                entry, flipped = schur._skew(lam, _shape_id(mu.parts))
+                got = {_parts_of[i]: c for i, c in schur._entry_items(entry)}
+                assert not flipped
+                assert got == {rectangle_complement(height, width, mu).parts: 1}, (rect, mu)
+                assert got == fillings(rect.parts, mu.parts), (rect, mu)
+    assert not calls
+    assert not cache.table("skew")
+    # The empty shape is no rectangle to the rule: its skew is filled.
+    assert schur._skew(0, 0) == (((0,), (1,)), False)
+    assert calls == [((), ())]
 
 
 def test_skew_expand_examples():
