@@ -6,9 +6,10 @@ only ever inserted, so sharing the tables across threads is safe under the
 usual dict guarantees.
 
 The kernel tables (``skew``, ``product``, ``nl``, ``nl_truncated``) are
-keyed by shape ids.  Each entry is a pair of tuples of equal length, the
-shape ids of its terms and their multiplicities, built and read through
-the helpers of :mod:`stablechar.schur` (``_entry``, ``_entry_items``).
+keyed by shape ids.  Each entry is a pair of equal length: a tuple of the
+shape ids of its terms and their multiplicities, as ``bytes`` when every
+one is below 256 and as a tuple otherwise, built and read through the
+helpers of :mod:`stablechar.schur` (``_entry``, ``_entry_items``).
 ``skew`` is keyed by (lam, mu) and holds no rectangle lam, whose skews
 need no table; the three product tables are keyed by the unordered pair
 (p, q) with p <= q, and ``nl_truncated`` by (p, q, top), top the largest

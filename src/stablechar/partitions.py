@@ -14,9 +14,10 @@ the partitions that they are built from: for a 12 x 12 square that is the
 18,564 shapes kept, not the 2,704,156 subpartitions of the square.
 
 The tableau kernels also name shapes by small int ids (see "Shape ids"
-below): a memo entry is an ``{id: int}`` dict, so its sums hash ints.
-CPython caches no tuple's hash, so a dict keyed by parts tuples hashes the
-whole tuple on every lookup and insert.
+below): a memo entry lists the ids of its terms (see
+:mod:`stablechar.schur`), so its sums hash ints.  CPython caches no
+tuple's hash, so a dict keyed by parts tuples hashes the whole tuple on
+every lookup and insert.
 """
 
 from __future__ import annotations
@@ -222,14 +223,16 @@ def even_subshapes(lam: Partition, columns: bool) -> Iterator[tuple]:
 # Shape ids.
 # ---------------------------------------------------------------------------
 #
-# One append-only registry, shared by the whole process, names every shape
-# the kernels meet by a small int: ``_shape_id`` registers the parts on first
-# use, and the lists below are indexed by id.  An id names the same shape
+# One append-only registry, shared by the whole process, names by a small
+# int every shape the kernels key by id: ``_shape_id`` registers the parts on
+# first use, and the lists below are indexed by id.  The skew sums of a
+# rectangle (``schur._skew_sum``, so every ``kr_decomposition`` of one)
+# register no shape: they are built from parts.  An id names the same shape
 # for the life of the process; ``cache.clear_all`` leaves the registry
 # alone, so an id held across it stays valid.  The registry therefore only
 # grows: it keeps the parts, size and shared ``Partition`` of every distinct
-# shape met since the process started, and clearing the memo tables frees
-# none of them.  The empty shape is id 0, so ``not i`` tests for it and 0
+# shape registered since the process started, and clearing the memo tables
+# frees none of them.  The empty shape is id 0, so ``not i`` tests for it and 0
 # sorts first.  The names are internal to the kernels (``schur``, ``bcd``,
 # ``series``); the lists must only ever be appended to, here.
 

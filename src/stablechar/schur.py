@@ -18,12 +18,14 @@ The memo entries are keyed by shape ids (see :mod:`stablechar.partitions`):
 lam/mu by (lam, mu), and the product of p and q by the unordered pair (p,
 q) with p <= q.  One entry serves a key and its conjugate key (lam'/mu',
 or the sorted pair of p' and q'), stored under the smaller of the two.
-Each entry is a pair of tuples of equal length, (ids, mults): the shape
-ids of its terms and their nonzero multiplicities.  As two tuples a term
-costs two pointers, where a dict slot costs several times that; the ids
-are the registry's ints and small multiplicities are shared ints.  Only
-this module knows the layout: ``_entry`` builds an entry and
-``_entry_items`` reads its (id, mult) terms, in the order it was built.
+Each entry is a pair of equal length, (ids, mults): a tuple of the shape
+ids of its terms and their nonzero multiplicities, as ``bytes`` when every
+one is below 256 and as a tuple of ints otherwise.  A term thus costs one
+pointer and one byte, where a dict slot costs several pointers; the ids
+are the registry's ints, and iterating over ``bytes`` yields the shared
+small ints, so both layouts read alike.  Only this module knows the
+layout: ``_entry`` builds an entry and ``_entry_items`` reads its (id,
+mult) terms, in the order it was built.
 Every sum is taken on ids: CPython caches no tuple's hash, so a key or an
 accumulator made of parts tuples would hash whole tuples on every lookup.
 ``_lattice_fillings`` and ``_strip_product`` still compute on parts; their
@@ -31,9 +33,12 @@ results are converted to ids once, by ``_by_id``, when they are stored.
 
 A rectangle (w^h) needs no tableaux: it skews by mu to the single shape
 (w - mu_h, ..., w - mu_1), the complement of mu turned by 180 degrees, with
-multiplicity 1.  ``_skew`` answers such a skew from the parts alone, before
-any memo lookup, and stores nothing; ``_lattice_fillings``, which the tests
-hold it against, serves every other shape.
+multiplicity 1, which ``_complement`` computes.  ``_skew`` answers such a
+skew from the parts alone, before any memo lookup, and stores nothing;
+``_lattice_fillings``, which the tests hold it against, serves every other
+shape.  ``_skew_sum`` over a rectangle takes no ids at all: distinct mu
+have distinct complements, so it adds the weights per mu and builds one
+``Partition`` per mu, registering none.
 
 ``schur_multiply`` and ``bcd.bcd_multiply`` share one bilinear accumulation
 that scales both operands to integer coefficients, merges (mu, nu) and (nu,
@@ -47,7 +52,8 @@ each subdiagram mu of lam by its kappa coefficient, and
 
 ``Partition`` objects are built only for the ``FormalSum`` a public
 function returns, and each is the one the registry keeps for its id
-(``partitions._shape``).
+(``partitions._shape``), except the terms of a rectangle's skew sum,
+which have no id.
 
 Littlewood-Richardson coefficients are invariant under conjugating all
 three shapes, c^lam_{mu,nu} = c^{lam'}_{mu',nu'}.  So ``_skew`` and
@@ -289,8 +295,9 @@ class FormalSum:
 # Lattice fillings of a fixed skew shape.
 # ---------------------------------------------------------------------------
 
-# A memo entry: the shape ids of its terms and their multiplicities.
-Entry = tuple[tuple[int, ...], tuple[int, ...]]
+# A memo entry: the shape ids of its terms and their multiplicities, as
+# bytes when all are below 256.
+Entry = tuple[tuple[int, ...], bytes | tuple[int, ...]]
 
 _skew_cache: dict[tuple, Entry] = cache.table("skew")
 _product_cache: dict[tuple, Entry] = cache.table("product")
@@ -298,20 +305,27 @@ _product_cache: dict[tuple, Entry] = cache.table("product")
 
 def _entry(ids, mults) -> Entry:
     """The memo entry of the terms with these shape ids and multiplicities,
-    given in one order: two tuples of equal length."""
-    return tuple(ids), tuple(mults)
+    given in one order: a tuple of ids and, of equal length, the
+    multiplicities as ``bytes`` if each fits in a byte, else as a tuple."""
+    mults = tuple(mults)
+    try:
+        mults = bytes(mults)
+    except ValueError:  # a multiplicity of 256 or more
+        pass
+    return tuple(ids), mults
 
 
 def _entry_items(entry: Entry):
-    """The (shape id, mult) terms of a memo entry, in its order."""
+    """The (shape id, mult) terms of a memo entry, in its order, each mult
+    an int whichever layout holds it."""
     return zip(*entry)
 
 
 def _transposed(entry: Entry) -> Entry:
     """A memo entry with every shape conjugated; it shares the
-    multiplicities of ``entry``."""
+    multiplicities object of ``entry``."""
     ids, mults = entry
-    return _entry(map(_conjugate_id, ids), mults)
+    return tuple(map(_conjugate_id, ids)), mults
 
 
 def _by_id(terms: dict[tuple, int]) -> Entry:
@@ -365,20 +379,26 @@ def _lattice_fillings(lamp: tuple, mup: tuple) -> dict[tuple, int]:
     return tally
 
 
+def _complement(box: tuple, inner: tuple) -> tuple:
+    """The parts of the single shape of the rectangle ``box`` = (w^h) skewed
+    by ``inner`` = mu inside it: the complement of mu in the h x w box
+    turned by 180 degrees, (w - mu_h, ..., w - mu_1) with zeros dropped.
+    Its multiplicity is 1."""
+    width = box[0]
+    rest = tuple(width - m for m in reversed(inner) if m < width)
+    return (width,) * (len(box) - len(inner)) + rest
+
+
 def _skew(lam: int, mu: int) -> tuple[Entry, bool]:
     """(entry, flipped): the memo entry of lam/mu for shape ids lam and mu,
     mu inside lam, and whether it is the entry of lam'/mu', whose terms are
     the conjugates of those of lam/mu.
 
-    A rectangle lam = (w^h) skews to one shape: lam/mu is the complement of
-    mu in the h x w box turned by 180 degrees, (w - mu_h, ..., w - mu_1)
-    with zeros dropped, with multiplicity 1.  That entry is built on each
-    call and never stored."""
+    A rectangle lam skews to its ``_complement`` of mu alone; that entry is
+    built on each call and never stored."""
     parts = _parts_of[lam]
     if parts and parts[0] == parts[-1]:
-        width, inner = parts[0], _parts_of[mu]
-        rest = tuple(width - m for m in reversed(inner) if m < width)
-        return ((_shape_id((width,) * (len(parts) - len(inner)) + rest),), (1,)), False
+        return ((_shape_id(_complement(parts, _parts_of[mu])),), b"\x01"), False
     key = (lam, mu)
     cached = _skew_cache.get(key)
     if cached is not None:
@@ -405,14 +425,30 @@ def _skew_terms(lam: int, mu: int) -> list[tuple[int, int]]:
 
 def _skew_sum(lam: Partition, weights) -> dict[Partition, object]:
     """Terms of the sum of w * s_{lam/mu} over the (mu, w) pairs of
-    ``weights``, every mu the parts of a partition inside lam.  The memo
-    entries are summed with the weights scaled to integers, in one
-    accumulator, and divided once; a zero weight is skipped, so its skew
-    expansion is never computed."""
+    ``weights``, every mu the parts of a partition inside lam; the weights
+    of a repeated mu add up, and a zero sum is dropped.  The memo entries
+    are summed with the weights scaled to integers, in one accumulator, and
+    divided once; a zero weight is skipped, so its skew expansion is never
+    computed.
+
+    A rectangle lam skews by each mu to a distinct ``_complement``, so its
+    sum is built from parts, one ``Partition`` per mu, and registers no
+    shape id."""
+    parts = lam.parts
+    if parts and parts[0] == parts[-1]:
+        sums: dict[tuple, object] = {}
+        for mu, w in weights:
+            if w:
+                sums[mu] = sums.get(mu, 0) + w
+        return {
+            Partition._trusted(_complement(parts, mu)): _normalize(c)
+            for mu, c in sums.items()
+            if c
+        }
     # Each skew is taken before the next weight is read: computing every
     # weight of lam first raised the peak RSS of `verify --prop oracle
     # --max-size 12` from 23.5 to 25.2 MB (CPython 3.11).
-    outer = _shape_id(lam.parts)
+    outer = _shape_id(parts)
     entries = [(w, *_skew(outer, _shape_id(mu))) for mu, w in weights if w]
     den, ints = _integers([w for w, _, _ in entries])
     acc: dict[int, int] = {}
@@ -597,7 +633,7 @@ def _pair_products(pairs: dict, basis_product, min_degree: int | None = None) ->
         if not factor:
             continue
         if not p:
-            products, flipped = ((q,), (1,)), False
+            products, flipped = ((q,), b"\x01"), False
         elif min_degree is None:
             products, flipped = basis_product(p, q)
         else:

@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ from oracles import (
     weights_to_partition,
 )
 from stablechar import cache, checks, kr, partitions, schur
-from stablechar.embeddings import Decomposition, image_by_skewing
+from stablechar.embeddings import Decomposition, image_by_skewing, kappa_coefficient
 from stablechar.kr import (
     domino_removals,
     format_weight_decomposition,
@@ -130,6 +131,49 @@ def test_kr_decomposition_builds_only_the_shapes_it_keeps(monkeypatch):
         dec = kr_decomposition(P(8, 8, 8, 8, 8, 8, 8, 8), family)
         assert len(dec.terms) == 495
         assert sum(built) == len(dec.terms), family
+
+
+def test_rectangle_skew_sums_register_no_shape():
+    # Each mu skews a rectangle to its own complement, so the sum is built
+    # from parts; weights are compared against the complement oracle.
+    p = Series((1, Fraction(1, 2), -3))
+    for height in range(1, 7):
+        for width in range(1, 7):
+            rect = P(*[width] * height)
+            registered = len(partitions._parts_of)
+            decs = {family: kr_decomposition(rect, family) for family in kr.FAMILIES}
+            skewed = image_by_skewing(p, rect)
+            assert len(partitions._parts_of) == registered, rect
+            for family, even in (("C", all_even_rows), ("BD", all_even_columns)):
+                expected = {
+                    rectangle_complement(height, width, mu): 1
+                    for mu in subpartitions(rect)
+                    if even(mu)
+                }
+                assert decs[family].terms == expected, (rect, family)
+            expected = {}
+            for mu in subpartitions(rect):
+                w = kappa_coefficient(p, mu)
+                if w:
+                    expected[rectangle_complement(height, width, mu)] = w
+            assert skewed.terms == expected, rect
+
+
+def test_skew_sums_add_the_weights_of_a_repeated_shape():
+    # A repeated mu adds its weights; a zero sum is dropped and a whole
+    # Fraction becomes an int, on rectangles and on other shapes alike.
+    for lam in (P(3, 3), P(3, 2)):
+        weights = [
+            ((1,), Fraction(1, 2)), ((2,), 1), ((1,), Fraction(1, 2)),
+            ((2,), -1), ((1, 1), Fraction(1, 3)), ((1, 1), Fraction(1, 6)),
+        ]
+        got = schur._skew_sum(lam, weights)
+        expected = {}
+        for mu, w in ((P(1), 1), (P(1, 1), Fraction(1, 2))):
+            for nu, c in skew_expand(lam, mu).terms.items():
+                expected[nu] = expected.get(nu, 0) + c * w
+        assert got == expected, lam
+        assert all(type(c) is int for c in got.values() if c == int(c)), lam
 
 
 def test_kr_decomposition_matches_term_by_term_skews():

@@ -242,14 +242,19 @@ def test_kernel_tables_are_keyed_by_shape_ids(monkeypatch):
                 conjugate = tuple(sorted(conjugate))
             conjugate += key[2:]
             assert conjugate == key or conjugate not in table, (name, key)
-            # Each entry is two tuples of equal length: the shape ids of its
-            # terms and their multiplicities, none of them zero.
+            # Each entry is a tuple of the shape ids of its terms and, of
+            # equal length, their multiplicities, none of them zero: bytes
+            # when every one is below 256, else a tuple of ints.
             entry = table[key]
             assert type(entry) is tuple and len(entry) == 2, (name, key)
             ids, mults = entry
-            assert type(ids) is tuple and type(mults) is tuple, (name, key)
+            assert type(ids) is tuple, (name, key)
+            if max(mults) < 256:
+                assert type(mults) is bytes, (name, key)
+            else:
+                assert type(mults) is tuple, (name, key)
             assert ids and len(ids) == len(mults), (name, key)
-            assert all(type(i) is int for i in ids + mults), (name, key)
+            assert all(type(i) is int for i in ids + tuple(mults)), (name, key)
             assert all(mults), (name, key)
     sizes = {name: len(table) for name, table in tables.items()}
     strips = _record_calls(monkeypatch, "_strip_product")
@@ -276,8 +281,22 @@ def test_rectangle_skews_are_complements_without_fillings(monkeypatch):
     assert not calls
     assert not cache.table("skew")
     # The empty shape is no rectangle to the rule: its skew is filled.
-    assert schur._skew(0, 0) == (((0,), (1,)), False)
+    entry, flipped = schur._skew(0, 0)
+    assert list(schur._entry_items(entry)) == [(0, 1)] and not flipped
     assert calls == [((), ())]
+
+
+def test_entry_multiplicities_are_bytes_below_256():
+    small = schur._entry((5, 7), (3, 1))
+    large = schur._entry((5, 7), (300, 1))
+    assert small == ((5, 7), b"\x03\x01")
+    assert large == ((5, 7), (300, 1))
+    for entry, expected in ((small, [(5, 3), (7, 1)]), (large, [(5, 300), (7, 1)])):
+        items = list(schur._entry_items(entry))
+        assert items == expected
+        assert all(type(i) is int and type(c) is int for i, c in items)
+        # Conjugating the shapes shares the multiplicities object.
+        assert schur._transposed(entry)[1] is entry[1]
 
 
 def test_skew_expand_examples():
