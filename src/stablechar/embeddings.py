@@ -297,8 +297,9 @@ def image_by_skewing(p: Series, lam: Partition) -> Decomposition:
 
     Exact for any lam with p known through order |lam|: only subdiagrams of
     lam meet the kernel, so no truncation of the kernel is involved.  The
-    sum of kappa_mu(p) s_{lam/mu} over the subdiagrams mu is taken in
-    integers by ``schur._skew_sum``.
+    sum of kappa_mu(p) s_{lam/mu} over the subdiagrams mu is taken by
+    ``schur._skew_sum``: in integers, or on a rectangle lam term by term,
+    each mu skewing it to a shape of its own.
     """
     if not p.polynomial and p.order < lam.size:
         raise TruncationError(

@@ -287,11 +287,12 @@ def test_rectangle_skews_are_complements_without_fillings(monkeypatch):
 
 
 def test_entry_multiplicities_are_bytes_below_256():
-    small = schur._entry((5, 7), (3, 1))
-    large = schur._entry((5, 7), (300, 1))
-    assert small == ((5, 7), b"\x03\x01")
-    assert large == ((5, 7), (300, 1))
-    for entry, expected in ((small, [(5, 3), (7, 1)]), (large, [(5, 300), (7, 1)])):
+    a, b = _shape_id((2, 1)), _shape_id((3,))
+    small = schur._entry((a, b), (3, 1))
+    large = schur._entry((a, b), (300, 1))
+    assert small == ((a, b), b"\x03\x01")
+    assert large == ((a, b), (300, 1))
+    for entry, expected in ((small, [(a, 3), (b, 1)]), (large, [(a, 300), (b, 1)])):
         items = list(schur._entry_items(entry))
         assert items == expected
         assert all(type(i) is int and type(c) is int for i, c in items)
