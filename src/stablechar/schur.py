@@ -10,9 +10,13 @@ test suite:
 * ``schur_multiply`` expands a product by growing the first shape with
   successive horizontal strips, one strip per row of the second shape,
   keeping the prefix condition that makes the combined filling a lattice
-  filling.  The strips are added level by level, and partial fillings that
-  agree on the shape and on the last strip's prefix, clamped to the length
-  of the next strip, are merged and extended once.
+  filling.  ``_strip_product`` adds the strips level by level, and partial
+  fillings that agree on the shape and on the last strip's prefix, clamped
+  to the length of the next strip, are merged and extended once.  Two
+  module-level recursions place the cells of one strip, taking the state as
+  arguments: ``_strip_states`` for every level but the last, keyed on
+  (shape, prefix), and ``_last_strip`` for the last, which carries no
+  prefix and keys on the shape alone.
 
 The memo entries are keyed by shape ids (see :mod:`stablechar.partitions`):
 lam/mu by (lam, mu), and the product of p and q by the unordered pair (p,
@@ -472,69 +476,110 @@ def skew_expand(lam: Partition, mu: Partition) -> FormalSum:
 
 
 def _strip_product(base_parts: tuple, content_parts: tuple) -> dict[tuple, int]:
-    """Expand s_base * s_content by adding one horizontal strip per row of
-    ``content``, subject to the prefix condition: cells of row t in the
-    first r rows never exceed cells of row t-1 in the first r-1 rows.
+    """Expand s_base * s_content, content nonempty, by adding one horizontal
+    strip per row of ``content``, subject to the prefix condition: cells of
+    row t in the first r rows never exceed cells of row t-1 in the first r-1
+    rows.
 
-    The strips are added level by level.  Level t holds
+    The strips are added level by level.  Every level but the last holds
     ``{(shape, prefix of row t's strip): count of partial fillings}``, so
-    partial fillings that agree on both are extended once; the last level
-    keys on the shape alone.  A strip can put at most ``shape[r]`` cells in
-    the rows below row r, so row r takes at least ``remaining - shape[r]``
-    cells and no branch runs out of room.
+    partial fillings that agree on both are extended once; ``_strip_states``
+    places its strips.  The last level keys on the shape alone, and
+    ``_last_strip``, which carries no prefix, places its strips.
 
     Strip t+1 holds content[t+1] <= content[t] cells, so a prefix count of
     strip t bounds it only while the count is below content[t+1].  The
     prefix counts, and the padding past the last row strip t reaches, are
     therefore stored clamped to content[t+1]: states that differ only above
-    it are merged.
+    it are merged.  Row 0 of the content has no prefix condition: its bound
+    is content[0] in every row, which no strip exceeds.
     """
-    states: dict = {(base_parts, None): 1}
-    last = len(content_parts) - 1
-    for t, need in enumerate(content_parts):
+    states = {(base_parts, (content_parts[0],) * (len(base_parts) + 1)): 1}
+    for need, clamp in zip(content_parts, content_parts[1:]):
         merged: dict = {}
-        final = t == last
-        clamp = 0 if final else content_parts[t + 1]
         for (base, prev), count in states.items():
-            basez = base + (0,)
-            if prev is None:  # row 0 of the content: no prefix condition
-                prev = (need,) * len(basez)
-
-            # new: rows 0..r-1 of the grown shape; prefix[i]: strip cells in
-            # rows 0..i-1, clamped.  Rows with a single choice are taken in
-            # the loop.
-            def rows(r: int, remaining: int, cum: int, new: tuple, prefix: tuple) -> None:
-                while remaining:
-                    here = basez[r]
-                    cap = prev[r] - cum
-                    if r and cap > basez[r - 1] - here:
-                        cap = basez[r - 1] - here
-                    if cap > remaining:
-                        cap = remaining
-                    least = remaining - here if remaining > here else 0
-                    if cap != least:
-                        for a in range(cap, least - 1, -1):
-                            c = cum + a
-                            # The last level keys on the shape alone.
-                            after = prefix if final else prefix + (c if c < clamp else clamp,)
-                            rows(r + 1, remaining - a, c, new + (here + a,), after)
-                        return
-                    cum += cap
-                    remaining -= cap
-                    new += (here + cap,)
-                    if not final:
-                        prefix += (cum if cum < clamp else clamp,)
-                    r += 1
-                shape = new + base[r:]
-                if final:
-                    merged[shape] = merged.get(shape, 0) + count
-                else:
-                    key = (shape, prefix + (clamp,) * (len(shape) - r))
-                    merged[key] = merged.get(key, 0) + count
-
-            rows(0, need, 0, (), (0,))
+            _strip_states(merged, count, base, base + (0,), prev, clamp, 0, need, 0, (), (0,))
         states = merged
-    return states
+    shapes: dict = {}
+    need = content_parts[-1]
+    for (base, prev), count in states.items():
+        _last_strip(shapes, count, base, base + (0,), prev, 0, need, 0, ())
+    return shapes
+
+
+# The two helpers place the ``remaining`` cells of one strip in rows r, r+1,
+# ... of ``base``, ``basez`` being base with a zero row appended.  ``cum``
+# counts the strip's cells in rows 0..r-1, ``new`` holds rows 0..r-1 of the
+# grown shape, and ``prev[r]`` bounds the cells of the strip in rows 0..r
+# (the prefix condition).  A strip can put at most ``base[r]`` cells in the
+# rows below row r, so row r takes at least ``remaining - base[r]`` cells and
+# no branch runs out of room.  Rows with a single choice are taken in the
+# loop, and the choice that places every remaining cell in row r adds its
+# shape at once.  Each adds ``count`` into ``merged`` per completed strip,
+# in the order of the choices, largest first.
+
+
+def _strip_states(merged, count, base, basez, prev, clamp, r, remaining, cum, new, prefix):
+    """Place a strip of a middle level; ``prefix[i]`` is the strip's cell
+    count in rows 0..i-1, clamped to ``clamp``, and a completed strip keys
+    on (shape, prefix)."""
+    while True:
+        here = basez[r]
+        cap = prev[r] - cum
+        if r and cap > basez[r - 1] - here:
+            cap = basez[r - 1] - here
+        if cap > remaining:
+            cap = remaining
+        least = remaining - here if remaining > here else 0
+        if cap != least:
+            break
+        cum += cap
+        remaining -= cap
+        new += (here + cap,)
+        prefix += (cum if cum < clamp else clamp,)
+        r += 1
+        if not remaining:  # the strip ends in the zero row: base[r:] is empty
+            key = (new, prefix)
+            merged[key] = merged.get(key, 0) + count
+            return
+    if cap == remaining:  # the strip ends in row r, where its count reaches clamp
+        shape = new + (here + cap,) + base[r + 1 :]
+        key = (shape, prefix + (clamp,) * (len(shape) - r))
+        merged[key] = merged.get(key, 0) + count
+        cap -= 1
+    for a in range(cap, least - 1, -1):
+        c = cum + a
+        _strip_states(
+            merged, count, base, basez, prev, clamp, r + 1, remaining - a, c,
+            new + (here + a,), prefix + (c if c < clamp else clamp,),
+        )
+
+
+def _last_strip(merged, count, base, basez, prev, r, remaining, cum, new):
+    """Place a strip of the last level; a completed strip keys on its shape."""
+    while True:
+        here = basez[r]
+        cap = prev[r] - cum
+        if r and cap > basez[r - 1] - here:
+            cap = basez[r - 1] - here
+        if cap > remaining:
+            cap = remaining
+        least = remaining - here if remaining > here else 0
+        if cap != least:
+            break
+        cum += cap
+        remaining -= cap
+        new += (here + cap,)
+        r += 1
+        if not remaining:  # the strip ends in the zero row
+            merged[new] = merged.get(new, 0) + count
+            return
+    if cap == remaining:  # the strip ends in row r
+        shape = new + (here + cap,) + base[r + 1 :]
+        merged[shape] = merged.get(shape, 0) + count
+        cap -= 1
+    for a in range(cap, least - 1, -1):
+        _last_strip(merged, count, base, basez, prev, r + 1, remaining - a, cum + a, new + (here + a,))
 
 
 def _product_order(mu: tuple, nu: tuple) -> tuple[tuple, tuple]:
@@ -573,16 +618,25 @@ def _schur_basis_product(p: int, q: int) -> tuple[Entry, bool]:
 def _accumulate(acc: dict[int, int], items, factor: int, min_degree: int | None = None) -> None:
     """Add factor * mult into ``acc`` for each (shape id, mult) of degree >=
     min_degree.  The sums are divided by a common denominator once, by
-    ``_terms``."""
+    ``_terms``.  A factor of 1, the most common, skips the multiply."""
     get = acc.get
     if min_degree is None:
-        for key, mult in items:
-            acc[key] = get(key, 0) + factor * mult
+        if factor == 1:
+            for key, mult in items:
+                acc[key] = get(key, 0) + mult
+        else:
+            for key, mult in items:
+                acc[key] = get(key, 0) + factor * mult
     else:
         sizes = _size_of
-        for key, mult in items:
-            if sizes[key] >= min_degree:
-                acc[key] = get(key, 0) + factor * mult
+        if factor == 1:
+            for key, mult in items:
+                if sizes[key] >= min_degree:
+                    acc[key] = get(key, 0) + mult
+        else:
+            for key, mult in items:
+                if sizes[key] >= min_degree:
+                    acc[key] = get(key, 0) + factor * mult
 
 
 def _fold_flipped(acc: dict[int, int], flipped: dict[int, int]) -> dict[int, int]:

@@ -19,6 +19,7 @@ from stablechar.partitions import (
     _conjugate_id,
     _parts_of,
     _shape_id,
+    _size_of,
     partitions_of,
     partitions_through,
     subpartitions,
@@ -113,6 +114,48 @@ def test_strip_product_matches_oracle_on_deep_contents():
         got = schur._strip_product(base, content)
         # The oracle expands its determinant over the rows of the base.
         assert got == jt_product(Partition(content), Partition(base)), (base, content)
+
+
+def test_strip_product_matches_oracle_on_every_small_pair():
+    # Every ordered pair of nonempty shapes of total size at most 8 (301
+    # pairs): rows with a single choice, and strips that end in the row
+    # where the last cells go, occur throughout.
+    shapes = [p.parts for p in partitions_through(7) if p]
+    pairs = [(b, c) for b in shapes for c in shapes if sum(b) + sum(c) <= 8]
+    assert len(pairs) == 301
+    for base, content in pairs:
+        got = schur._strip_product(base, content)
+        assert got == jt_product(Partition(content), Partition(base)), (base, content)
+
+
+def test_unit_factor_accumulates_as_any_other():
+    # _accumulate adds a factor of 1 in a loop of its own; it adds what
+    # factor * mult adds, in the same key order, with and without a floor.
+    ids = [_shape_id(p.parts) for p in partitions_through(5)]
+    items = [(ids[i % len(ids)], m) for i, m in enumerate((1, 3, 255, 256, 7, 2, 1) * 5)]
+    for min_degree in (None, 3):
+        for factor in (1, -1, 2, 300):
+            acc = {ids[4]: 5, ids[0]: -2}
+            expected = dict(acc)
+            for key, mult in items:
+                if min_degree is None or _size_of[key] >= min_degree:
+                    expected[key] = expected.get(key, 0) + factor * mult
+            schur._accumulate(acc, iter(items), factor, min_degree)
+            assert acc == expected and list(acc) == list(expected), (factor, min_degree)
+
+
+def test_pair_products_skip_a_zero_factor():
+    asked = []
+
+    def product(p, q):
+        asked.append((p, q))
+        return ((q,), b"\x01"), False
+
+    p, q = sorted((_shape_id((2, 1)), _shape_id((3,))))
+    assert schur._pair_products({(p, q): 0, (0, q): 0}, product) == {}
+    assert asked == []
+    assert schur._pair_products({(p, q): 0, (p, p): 1}, product) == {p: 1}
+    assert asked == [(p, p)]
 
 
 def _pairwise_product(a, b, product):
