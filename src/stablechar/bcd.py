@@ -28,12 +28,13 @@ The constants are invariant under conjugating all three shapes,
 N^lam_{mu,nu} = N^{lam'}_{mu',nu'} (Koike-Terada, J. Algebra 107, 1987),
 and conjugation keeps |alpha|.  So, as in :mod:`stablechar.schur`, one
 entry serves the pair (p, q) and its conjugate pair (p', q'), full or
-truncated at the same |alpha|, stored under the smaller of the two keys.
-``_nl_basis_product`` looks up the requested key, then the conjugate key,
-and returns (entry, flipped) without copying the entry; ``_pair_products``
-conjugates the flipped sums once.  A product neither key answers is
-computed in the orientation it is stored in; its skews may come flipped,
-and their ids are conjugated before the (beta, gamma) pairs are formed.
+truncated at the same |alpha|.  ``_nl_basis_product`` looks up the
+requested key, then the conjugate key, and returns (entry, flipped)
+without copying the entry; ``schur._pair_products`` reads it.  A product
+neither key answers is computed as requested and stored under the
+requested key.  Each of its skews s_{p/alpha} is read through
+``_pair_products`` too, so its ids are in the requested orientation before
+the (beta, gamma) pairs are formed.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .schur import (
     _entry,
     _pair_products,
     _schur_basis_product,
-    _skew_terms,
+    _skew,
 )
 
 __all__ = ["bcd_multiply"]
@@ -70,7 +71,8 @@ def _nl_basis_product(
     """(entry, flipped): sp_p * sp_q for the ids p <= q of nonempty shapes,
     or at least its terms of degree >= ``min_degree``, as a memo entry, and
     whether it is the entry of sp_p' * sp_q', whose terms are the
-    conjugates of those of sp_p * sp_q.
+    conjugates of those of sp_p * sp_q.  A miss is computed and stored as
+    requested, so it is never flipped.
 
     A term of degree |mu| + |nu| - 2|alpha| comes from alpha alone, so a
     floor bounds |alpha|; conjugation keeps |alpha|, so a truncated entry
@@ -92,9 +94,6 @@ def _nl_basis_product(
         cached = _nl_truncated_cache.get(key_t + (top,))
     if cached is not None:
         return cached, True
-    flipped = key_t < key  # the smaller key is the stored one
-    if flipped:
-        key = p, q = key_t
     meet = _meet(_parts_of[p], _parts_of[q])
     if min_degree is None or top >= meet.size:
         top, memo = meet.size, _nl_cache
@@ -105,15 +104,15 @@ def _nl_basis_product(
         if alpha.size > top:
             continue
         a = _shape_id(alpha.parts)
-        left = _skew_terms(p, a)
-        right = _skew_terms(q, a)
+        left = _pair_products({(p, a): 1}, _skew).items()
+        right = _pair_products({(q, a): 1}, _skew).items()
         for b, cb in left:
             for g, cg in right:
                 pair = (b, g) if b <= g else (g, b)
                 pairs[pair] = pairs.get(pair, 0) + cb * cg
     sums = {t: c for t, c in _pair_products(pairs, _schur_basis_product).items() if c}
     out = memo[key] = _entry(sums, sums.values())
-    return out, flipped
+    return out, False
 
 
 def bcd_multiply(a: FormalSum, b: FormalSum, min_degree: int | None = None) -> FormalSum:

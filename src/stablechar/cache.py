@@ -8,19 +8,19 @@ usual dict guarantees.
 The kernel tables (``skew``, ``product``, ``nl``, ``nl_truncated``) are
 keyed by shape ids.  Each entry is a pair of equal length: a tuple of the
 shape ids of its terms and their multiplicities, as ``bytes`` when every
-one is below 256 and as a tuple otherwise, built and read through the
-helpers of :mod:`stablechar.schur` (``_entry``, ``_entry_items``).
+one is below 256 and as a tuple otherwise, built by ``schur._entry`` and
+read by ``schur._pair_products`` alone.
 ``skew`` is keyed by (lam, mu) and holds no rectangle lam, whose skews
 need no table; the three product tables are keyed by the unordered pair
 (p, q) with p <= q, and ``nl_truncated`` by (p, q, top), top the largest
 |alpha| its entry sums.  The ids come from the registry of
 :mod:`stablechar.partitions`.  Each table holds one entry per conjugate
 class: a key and its conjugate key ((lam', mu'), or the sorted pair (p',
-q') with the same top) share the entry stored under the smaller of the
-two, with its terms in that key's orientation, and a read of the other
-key returns it flipped (see :mod:`stablechar.schur`).  One table holds
-whole characters instead: ``w``, the W characters of :mod:`stablechar.kr`,
-keyed by (rectangle parts, family).
+q') with the same top) share one entry, stored under the key of the
+orientation it was computed in, with its terms in that orientation; a
+read of the other key returns it flipped (see :mod:`stablechar.schur`).
+One table holds whole characters instead: ``w``, the W characters of
+:mod:`stablechar.kr`, keyed by (rectangle parts, family).
 
 ``clear_all`` empties these tables and nothing else.  It leaves alone:
 

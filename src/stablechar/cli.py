@@ -4,7 +4,8 @@ Five subcommands: ``expand`` (Schur products and skews), ``kappa`` (kernel
 expansions and positivity verdicts), ``embed`` (decompositions), ``verify``
 (the identity checkers, exit 1 on failure), ``scan`` (the quadratic kernel
 scan, single point or CSV grid).  Exit codes: 0 success / all checks pass,
-1 a verification or positivity check failed, 2 usage or parse error.
+1 a verification or positivity check failed, 2 usage or parse error or an
+input too large to compute.
 
 ``verify`` prints each case of :mod:`stablechar.checks` as soon as it is
 decided, then a summary line; a run whose bounds select no case exits 2.
@@ -416,6 +417,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # the tableau recursions go one call per cell
+        print("error: input too large: recursion depth exceeded", file=sys.stderr)
         return 2
 
 

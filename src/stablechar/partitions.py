@@ -40,15 +40,19 @@ __all__ = [
 class Partition:
     """A weakly decreasing sequence of positive integers; () is empty.
 
-    ``Partition(...)`` checks its input.  ``Partition._trusted`` skips the
-    checks and is only for tuples the tableau code builds itself, which are
-    partitions by construction.
+    ``Partition(...)`` checks its input: every part an int (not a bool, a
+    float or a string), positive, and weakly decreasing.
+    ``Partition._trusted`` skips the checks and is only for tuples the
+    tableau code builds itself, which are partitions by construction.
     """
 
     __slots__ = ("parts", "size")
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        for p in parts:
+            if type(p) is not int:  # not isinstance: it would let True pass as 1
+                raise ValueError(f"a part must be an int, got {p!r:.40}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         if any(p <= 0 for p in parts):

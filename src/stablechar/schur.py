@@ -21,15 +21,17 @@ test suite:
 The memo entries are keyed by shape ids (see :mod:`stablechar.partitions`):
 lam/mu by (lam, mu), and the product of p and q by the unordered pair (p,
 q) with p <= q.  One entry serves a key and its conjugate key (lam'/mu',
-or the sorted pair of p' and q'), stored under the smaller of the two.
+or the sorted pair of p' and q'), stored under the key of the orientation
+it was computed in.
 Each entry is a pair of equal length, (ids, mults): a tuple of the shape
 ids of its terms and their nonzero multiplicities, as ``bytes`` when every
 one is below 256 and as a tuple of ints otherwise.  A term thus costs one
 pointer and one byte, where a dict slot costs several pointers; the ids
 are the registry's ints, and iterating over ``bytes`` yields the shared
 small ints, so both layouts read alike.  Only this module knows the
-layout: ``_entry`` builds an entry and ``_entry_items`` reads its (id,
-mult) terms, in the order it was built.
+layout: ``_entry`` builds an entry and ``_pair_products``, the one reader,
+reads its (id, mult) terms through ``_entry_items``, in the order it was
+built.
 Every sum is taken on ids: CPython caches no tuple's hash, so a key or an
 accumulator made of parts tuples would hash whole tuples on every lookup.
 ``_lattice_fillings`` and ``_strip_product`` still compute on parts; their
@@ -41,8 +43,8 @@ multiplicity 1, which ``_complement`` computes.  ``_skew`` answers such a
 skew from the parts alone, before any memo lookup, and stores nothing;
 ``_lattice_fillings``, which the tests hold it against, serves every other
 shape.  ``_skew_sum`` over a rectangle takes no ids at all: distinct mu
-have distinct complements, so it adds the weights per mu and builds one
-``Partition`` per mu, registering none.
+have distinct complements, so it builds one ``Partition`` per mu of its
+summed weights, registering none.
 
 ``schur_multiply`` and ``bcd.bcd_multiply`` share one bilinear accumulation
 that scales both operands to integer coefficients, merges (mu, nu) and (nu,
@@ -51,8 +53,9 @@ adds ints, and divides once per output term; the minors of
 ``dual_jacobi_trudi``, the kernel slices of ``series.kappa_expansion`` and
 the weighted skew sums of ``_skew_sum`` are summed the same way.  The last
 is one sum for both skewing routes: ``embeddings.image_by_skewing`` weights
-each subdiagram mu of lam by its kappa coefficient, and
-``kr.kr_decomposition`` weights the even-row or even-column mu by 1.
+each subdiagram mu of lam by its kappa coefficient,
+``kr.kr_decomposition`` weights the even-row or even-column mu by 1, and
+``skew_expand`` weights its one mu by 1.
 
 ``Partition`` objects are built only for the ``FormalSum`` a public
 function returns, and each is the one the registry keeps for its id
@@ -64,20 +67,17 @@ three shapes, c^lam_{mu,nu} = c^{lam'}_{mu',nu'}.  So ``_skew`` and
 ``_schur_basis_product`` return (entry, flipped): they look up the
 requested key first, and on a miss the conjugate key, its ids read from
 the registry.  An entry found there is returned as it is, flipped: its
-terms are the conjugates of the requested ones.  No read copies an entry;
-the caller conjugates instead, once per distinct shape of its result.
-``_pair_products`` and ``_skew_sum`` sum the flipped entries in an
-accumulator of their own and fold it in conjugated, by ``_fold_flipped``;
-``skew_expand`` and the Newell-Littlewood pair loop of :mod:`bcd` read a
-skew through ``_skew_terms``, which maps the ids of a flipped entry to
-their conjugates and returns a list, as the pair loop reads one side once
-per term of the other.
-An entry neither key answers is computed in the orientation of the key it
-is stored under.  A product is built by ``_strip_product`` in the
-orientation whose content (the factor with fewer rows) is shorter: on mu'
-* nu' when min(mu_1, nu_1) is less than min(len(mu), len(nu)); the result
-is transposed, by ``_transposed``, only when that is not the stored
-orientation.
+terms are the conjugates of the requested ones.  No read copies an entry.
+Every entry is read by ``_pair_products``, which sums the flipped entries
+in an accumulator of their own and moves each sum to the conjugate shape
+once; ``_skew_sum``, ``skew_expand`` and the Newell-Littlewood pair loop
+of :mod:`bcd` take their skews through it.
+An entry neither key answers is computed once and stored under the key of
+the orientation it was computed in, so no entry is ever transposed.  A
+skew is computed as requested.  A product is built by ``_strip_product``
+in the orientation whose content (the factor with fewer rows) is shorter:
+on mu' * nu', returned flipped, when min(mu_1, nu_1) is less than
+min(len(mu), len(nu)).
 
 ``dual_jacobi_trudi`` is the ring-generic determinant evaluator used to
 rebuild images of arbitrary shapes from images of single columns (the
@@ -91,7 +91,8 @@ homogeneous in the generator grading, so the floor is well defined).
 The memo tables of skew expansions and basis products (``skew`` and
 ``product``) live in :mod:`cache`, one entry per conjugate class.
 Conjugate ids are read from the registry, which fills each in on first
-use.
+use.  No entry is transposed, so the conjugate of a term's shape is
+registered only when a flipped read moves a sum to it.
 """
 
 from __future__ import annotations
@@ -325,13 +326,6 @@ def _entry_items(entry: Entry):
     return zip(*entry)
 
 
-def _transposed(entry: Entry) -> Entry:
-    """A memo entry with every shape conjugated; it shares the
-    multiplicities object of ``entry``."""
-    ids, mults = entry
-    return tuple(map(_conjugate_id, ids)), mults
-
-
 def _by_id(terms: dict[tuple, int]) -> Entry:
     """Terms keyed by parts, as a memo entry over their shape ids."""
     return _entry(map(_shape_id, terms), terms.values())
@@ -407,67 +401,46 @@ def _skew(lam: int, mu: int) -> tuple[Entry, bool]:
     cached = _skew_cache.get(key)
     if cached is not None:
         return cached, False
-    key_t = (_conjugate_id(lam), _conjugate_id(mu))
-    cached = _skew_cache.get(key_t)
+    cached = _skew_cache.get((_conjugate_id(lam), _conjugate_id(mu)))
     if cached is not None:
         return cached, True
-    flipped = key_t < key  # the smaller key is the stored one
-    lam, mu = key_t if flipped else key
-    cached = _skew_cache[lam, mu] = _by_id(_lattice_fillings(_parts_of[lam], _parts_of[mu]))
-    return cached, flipped
-
-
-def _skew_terms(lam: int, mu: int) -> list[tuple[int, int]]:
-    """The (shape id, mult) terms of lam/mu, read from its memo entry and
-    conjugated back if the entry is stored under lam'/mu'.  A list, so a
-    caller can read it more than once."""
-    entry, flipped = _skew(lam, mu)
-    if flipped:
-        return [(_conjugate_id(t), c) for t, c in _entry_items(entry)]
-    return list(_entry_items(entry))
+    cached = _skew_cache[key] = _by_id(_lattice_fillings(parts, _parts_of[mu]))
+    return cached, False
 
 
 def _skew_sum(lam: Partition, weights) -> dict[Partition, object]:
     """Terms of the sum of w * s_{lam/mu} over the (mu, w) pairs of
     ``weights``, every mu the parts of a partition inside lam; the weights
-    of a repeated mu add up, and a zero sum is dropped.  The memo entries
-    are summed with the weights scaled to integers, in one accumulator, and
-    divided once; a zero weight is skipped, so its skew expansion is never
-    computed.
+    of a repeated mu add up, and a zero sum is dropped, so its skew
+    expansion is never computed.  The memo entries are summed by
+    ``_pair_products`` with the weights scaled to integers, and divided
+    once.
 
     A rectangle lam skews by each mu to a distinct ``_complement``, so its
     sum is built from parts, one ``Partition`` per mu, and registers no
     shape id."""
+    sums: dict[tuple, object] = {}
+    for mu, w in weights:
+        if w:
+            sums[mu] = sums.get(mu, 0) + w
     parts = lam.parts
     if parts and parts[0] == parts[-1]:
-        sums: dict[tuple, object] = {}
-        for mu, w in weights:
-            if w:
-                sums[mu] = sums.get(mu, 0) + w
         return {
             Partition._trusted(_complement(parts, mu)): _normalize(c)
             for mu, c in sums.items()
             if c
         }
-    # Each skew is taken before the next weight is read: computing every
-    # weight of lam first raised the peak RSS of `verify --prop oracle
-    # --max-size 12` from 23.5 to 25.2 MB (CPython 3.11).
     outer = _shape_id(parts)
-    entries = [(w, *_skew(outer, _shape_id(mu))) for mu, w in weights if w]
-    den, ints = _integers([w for w, _, _ in entries])
-    acc: dict[int, int] = {}
-    flipped_acc: dict[int, int] = {}
-    for (_, entry, flipped), w in zip(entries, ints):
-        _accumulate(flipped_acc if flipped else acc, _entry_items(entry), w)
-    return _terms(_fold_flipped(acc, flipped_acc), den)
+    den, ints = _integers(sums.values())
+    pairs = {(outer, _shape_id(mu)): w for mu, w in zip(sums, ints)}
+    return _terms(_pair_products(pairs, _skew), den)
 
 
 def skew_expand(lam: Partition, mu: Partition) -> FormalSum:
     """Schur expansion of the skew shape lam/mu (zero if mu is not inside)."""
     if not lam.contains(mu):
         return FormalSum.zero("schur")
-    terms = _skew_terms(_shape_id(lam.parts), _shape_id(mu.parts))
-    return FormalSum._raw("schur", {_shape(t): c for t, c in terms})
+    return FormalSum._raw("schur", _skew_sum(lam, ((mu.parts, 1),)))
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +567,10 @@ def _product_order(mu: tuple, nu: tuple) -> tuple[tuple, tuple]:
 def _schur_basis_product(p: int, q: int) -> tuple[Entry, bool]:
     """(entry, flipped): s_p * s_q for the ids p <= q of nonempty shapes, as
     a memo entry, and whether it is the entry of s_p' * s_q', whose terms
-    are the conjugates of those of s_p * s_q."""
+    are the conjugates of those of s_p * s_q.
+
+    A product neither orientation has stored is built, and stored, in the
+    orientation whose content is shorter, the requested one on a tie."""
     key = (p, q)
     cached = _product_cache.get(key)
     if cached is not None:
@@ -604,15 +580,12 @@ def _schur_basis_product(p: int, q: int) -> tuple[Entry, bool]:
     cached = _product_cache.get(key_t)
     if cached is not None:
         return cached, True
-    flipped = key_t < key  # the smaller key is the stored one
     mu, nu = _product_order(_parts_of[p], _parts_of[q])
     mu_t, nu_t = _product_order(_parts_of[pt], _parts_of[qt])
-    conjugated = len(nu_t) < len(nu)  # the conjugate pair has the shorter content
-    cached = _by_id(_strip_product(mu_t, nu_t) if conjugated else _strip_product(mu, nu))
-    if conjugated != flipped:  # computed in the orientation not stored
-        cached = _transposed(cached)
-    _product_cache[key_t if flipped else key] = cached
-    return cached, flipped
+    if len(nu_t) < len(nu):  # the conjugate pair has the shorter content
+        key, mu, nu = key_t, mu_t, nu_t
+    cached = _product_cache[key] = _by_id(_strip_product(mu, nu))
+    return cached, key != (p, q)
 
 
 def _accumulate(acc: dict[int, int], items, factor: int, min_degree: int | None = None) -> None:
@@ -639,17 +612,6 @@ def _accumulate(acc: dict[int, int], items, factor: int, min_degree: int | None 
                     acc[key] = get(key, 0) + factor * mult
 
 
-def _fold_flipped(acc: dict[int, int], flipped: dict[int, int]) -> dict[int, int]:
-    """``acc`` with each sum of ``flipped`` added at the conjugate shape:
-    ``flipped`` sums entries read in the other orientation, so each of its
-    keys is conjugated once, however many terms it summed."""
-    get = acc.get
-    for key, c in flipped.items():
-        key = _conjugate_id(key)
-        acc[key] = get(key, 0) + c
-    return acc
-
-
 def _terms(acc: dict[int, int], den: int = 1) -> dict[Partition, object]:
     """The nonzero sums of ``acc``, each divided by ``den``, keyed by the
     shared ``Partition`` of each shape id."""
@@ -671,15 +633,18 @@ def _combination(pairs) -> dict:
 
 
 def _pair_products(pairs: dict, basis_product, min_degree: int | None = None) -> dict[int, int]:
-    """The sum of factor * basis_product(p, q) over ``{(p, q): factor}``.
+    """The sum of factor * basis_product(p, q) over ``{(p, q): factor}``,
+    the one reader of memo entries.
 
-    p and q are shape ids, and so are the arguments of ``basis_product``.
-    Each pair is unordered, stored with p <= q, so the empty shape (id 0)
-    can only come first; a product with it is the other factor.  With
-    ``min_degree`` set, ``basis_product`` gets the floor as a third argument
-    and terms below it are dropped (conjugation keeps the degree).  An entry
-    ``basis_product`` returns flipped is summed apart and conjugated once,
-    by ``_fold_flipped``.
+    p and q are shape ids, and so are the arguments of ``basis_product``,
+    which returns (entry, flipped) as ``_skew`` and the basis products do.
+    A pair with p = 0 needs no entry: a product pair is stored with p <= q,
+    so the empty shape (id 0) can only come first and the product is the
+    other factor, and the only skew of the empty shape is empty/empty.
+    With ``min_degree`` set, ``basis_product`` gets the floor as a third
+    argument and terms below it are dropped (conjugation keeps the degree).
+    The entries read flipped are summed apart, and each of those sums is
+    moved to the conjugate shape once.
     """
     acc: dict[int, int] = {}
     flipped_acc: dict[int, int] = {}
@@ -693,7 +658,9 @@ def _pair_products(pairs: dict, basis_product, min_degree: int | None = None) ->
         else:
             products, flipped = basis_product(p, q, min_degree)
         _accumulate(flipped_acc if flipped else acc, _entry_items(products), factor, min_degree)
-    return _fold_flipped(acc, flipped_acc)
+    if flipped_acc:
+        _accumulate(acc, zip(map(_conjugate_id, flipped_acc), flipped_acc.values()), 1)
+    return acc
 
 
 def _bilinear(a: FormalSum, b: FormalSum, basis_product, min_degree: int | None = None) -> dict:

@@ -29,6 +29,7 @@ empty them.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -559,7 +560,8 @@ def quadratic_scan(a, b, degree: int = 11) -> QuadraticScanReport:
 def quadratic_boundary(a) -> tuple[Fraction | None, float]:
     """The curve b = a sqrt(a+2) / (a+1); exact when a+2 is a rational square.
 
-    Returns (exact value or None, float approximation).
+    Returns (exact value or None, float approximation).  An a whose
+    a / (a+1) or a+2 overflows a float raises ``ValueError``.
     """
     a = Fraction(a)
     if a == -1:
@@ -572,12 +574,13 @@ def quadratic_boundary(a) -> tuple[Fraction | None, float]:
     exact = None
     if rn is not None and rd is not None:
         exact = a * Fraction(rn, rd) / (a + 1)
-    approx = float(a) * float(radicand) ** 0.5 / float(a + 1)
+    try:
+        approx = float(a / (a + 1)) * math.sqrt(radicand)
+    except OverflowError:  # a / (a+1) or a+2 is past the largest float
+        raise ValueError("a is too large, or too close to -1, for b(a) to fit in a float") from None
     return exact, approx
 
 
 def _isqrt_exact(n: int) -> int | None:
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None

@@ -486,6 +486,22 @@ def test_negative_degree_is_a_usage_error(args):
     assert "--degree" in proc.stderr and "expected a non-negative integer" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["expand", "--skew", "1500,1/-"], "input too large: recursion depth exceeded"),
+        (["embed", "--lambda", "1500,1", "--family", "C"], "input too large: recursion depth exceeded"),
+        (["scan", "--a", "1e400", "--b", "1", "--degree", "3"], "a is too large, or too close to -1"),
+    ],
+)
+def test_inputs_too_large_exit_two(args, message):
+    # These used to end in a RecursionError or OverflowError traceback and
+    # exit 1, the code of a failed check.
+    proc = run_cli(*args, expect_code=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
+
+
 def test_cache_dir_variable_is_ignored(tmp_path, monkeypatch):
     # Earlier versions kept memo tables in a file in this directory.
     monkeypatch.delenv("STABLECHAR_CACHE_DIR", raising=False)

@@ -42,6 +42,15 @@ def test_construction_rejects_bad_input():
         Partition((2, 0, 1))
 
 
+@pytest.mark.parametrize(
+    "parts, bad", [((2.5, 1), 2.5), (("3", True), "3"), ((3, True), True), ((2.0,), 2.0)]
+)
+def test_construction_rejects_parts_that_are_not_ints(parts, bad):
+    # int() used to truncate 2.5 to 2 and read "3" and True as 3 and 1.
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+        Partition(parts)
+
+
 def test_transpose_examples():
     assert Partition((3, 2, 2)).transpose() == Partition((3, 3, 1))
     assert EMPTY.transpose() == EMPTY

@@ -11,7 +11,7 @@ from oracles import (
     newell_littlewood,
     rectangle_complement,
 )
-from stablechar import bcd, cache, schur
+from stablechar import bcd, cache, partitions, schur
 from stablechar.kr import kr_decomposition
 from stablechar.partitions import (
     EMPTY,
@@ -255,6 +255,62 @@ def test_conjugate_reads_share_one_entry():
                 assert read(entry_t, flipped_t) == conjugated(want), (product.__name__, mu, nu)
 
 
+def _fresh_column_pair():
+    """Ids p < q of (1^n) and (1^(n+1)) for the first n >= 20 whose rows and
+    columns no test has registered, registered columns first: the column
+    pair then has the smaller key, though the row pair has the shorter
+    content."""
+    n = 20
+    while any(parts in partitions._ids for parts in ((n,), (n + 1,), (1,) * n, (1,) * (n + 1))):
+        n += 1
+    return _shape_id((1,) * n), _shape_id((1,) * (n + 1))
+
+
+def test_a_miss_stores_one_entry_in_the_orientation_computed(monkeypatch):
+    # An entry is stored under the key of the orientation it was computed
+    # in, and never transposed: a product in the orientation whose content
+    # (the factor with fewer rows) is shorter, the requested one on a tie,
+    # and flipped exactly when that is the conjugate key; a skew and a
+    # Newell-Littlewood product as requested, never flipped.
+    strips = _record_calls(monkeypatch, "_strip_product")
+    shapes = [_shape_id(mu.parts) for mu in partitions_through(4) if mu]
+    pairs = {tuple(sorted((p, q))) for p in shapes for q in shapes}
+    columns = _fresh_column_pair()
+    pairs.add(columns)
+    not_the_smaller_key = []  # pairs whose stored key is the larger of the two
+    for p, q in sorted(pairs):
+        key_t = tuple(sorted((_conjugate_id(p), _conjugate_id(q))))
+        content = len(schur._product_order(_parts_of[p], _parts_of[q])[1])
+        content_t = len(schur._product_order(*(_parts_of[i] for i in key_t))[1])
+        expected = key_t if content_t < content else (p, q)
+        cache.clear_all()
+        strips.clear()
+        entry, flipped = schur._schur_basis_product(p, q)
+        table = cache.table("product")
+        assert list(table) == [expected] and table[expected] is entry, (p, q)
+        assert flipped == (expected != (p, q)), (p, q)
+        assert [tuple(sorted(map(_shape_id, args))) for args in strips] == [expected], (p, q)
+        if expected != min((p, q), key_t):
+            not_the_smaller_key.append((p, q))
+        for top in (None, 1):
+            cache.clear_all()
+            floor = None if top is None else _size_of[p] + _size_of[q] - 2 * top
+            entry, flipped = bcd._nl_basis_product(p, q, floor)
+            meet = sum(map(min, _parts_of[p], _parts_of[q]))
+            name, key = ("nl", (p, q)) if top is None or top >= meet else ("nl_truncated", (p, q, top))
+            assert list(cache.table(name)) == [key] and not flipped, (p, q, top)
+            assert cache.table(name)[key] is entry
+    assert columns in not_the_smaller_key
+    for lam in partitions_through(5):
+        if lam and lam.parts[0] != lam.parts[-1]:  # a rectangle's skew is never stored
+            for mu in subpartitions(lam):
+                cache.clear_all()
+                key = (_shape_id(lam.parts), _shape_id(mu.parts))
+                entry, flipped = schur._skew(*key)
+                table = cache.table("skew")
+                assert list(table) == [key] and table[key] is entry and not flipped, key
+
+
 def test_kernel_tables_are_keyed_by_shape_ids(monkeypatch):
     # skew is keyed (lam, mu), the products by the unordered pair (p, q)
     # with p <= q, and nl_truncated adds the largest |alpha|: all ints.
@@ -339,8 +395,6 @@ def test_entry_multiplicities_are_bytes_below_256():
         items = list(schur._entry_items(entry))
         assert items == expected
         assert all(type(i) is int and type(c) is int for i, c in items)
-        # Conjugating the shapes shares the multiplicities object.
-        assert schur._transposed(entry)[1] is entry[1]
 
 
 def test_skew_expand_examples():

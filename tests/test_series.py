@@ -395,6 +395,20 @@ def test_quadratic_boundary_values():
     assert approx == pytest.approx((1 / 3) * (7 / 3) ** 0.5 / (4 / 3))
 
 
+@pytest.mark.parametrize("a", [Fraction(10) ** 400, -1 + Fraction(1, 10**400)])
+def test_quadratic_boundary_out_of_float_range_is_a_value_error(a):
+    # float(a) used to overflow, or a + 1 round to 0.0, with a traceback.
+    with pytest.raises(ValueError, match="^a is too large, or too close to -1"):
+        quadratic_boundary(a)
+
+
+def test_quadratic_boundary_of_a_large_a_is_finite():
+    # a sqrt(a+2) overflowed before the division by a+1 and gave inf.
+    exact, approx = quadratic_boundary(Fraction(10) ** 250 - 2)
+    assert exact is not None
+    assert approx == pytest.approx(float(exact)) and approx == pytest.approx(1e125)
+
+
 def test_root_of_critical_cubic():
     root = root_of_critical_cubic(Fraction(1, 10**8))
     assert Fraction(398155, 10**6) < root < Fraction(398165, 10**6)
