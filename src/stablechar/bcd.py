@@ -45,11 +45,13 @@ from .schur import (
     BasisMismatchError,
     Entry,
     FormalSum,
-    _bilinear,
     _entry,
     _pair_products,
     _schur_basis_product,
     _skew,
+    _sum_of,
+    _sum_product,
+    _terms,
 )
 
 __all__ = ["bcd_multiply"]
@@ -126,4 +128,5 @@ def bcd_multiply(a: FormalSum, b: FormalSum, min_degree: int | None = None) -> F
         raise BasisMismatchError(f"{a.basis} vs {b.basis}")
     if a.basis not in ("sp", "o"):
         raise BasisMismatchError("bcd_multiply needs the sp or o basis")
-    return FormalSum._raw(a.basis, _bilinear(a, b, _nl_basis_product, min_degree))
+    den, acc = _sum_product(_sum_of(a), _sum_of(b), _nl_basis_product, min_degree)
+    return FormalSum._raw(a.basis, _terms(acc, den))

@@ -28,7 +28,8 @@ One table holds whole characters instead: ``w``, the W characters of
   the entries but not the parts and shared ``Partition`` of every distinct
   shape the process has met;
 * ``partitions._partitions_tuples``, an ``lru_cache`` of partition lists;
-* the memos that callers of ``schur.dual_jacobi_trudi`` pass in;
+* the memos that callers of ``schur.dual_jacobi_trudi`` pass in, which
+  hold its minors as integer sums (see :mod:`stablechar.schur`);
 * the memo each :class:`~stablechar.series.Series` and
   :class:`~stablechar.embeddings.EmbeddingTable` holds in its own slot,
   which lives exactly as long as its owner.

@@ -12,7 +12,7 @@ them.
 
 from __future__ import annotations
 
-from .bcd import bcd_multiply
+from .bcd import _nl_basis_product
 from .embeddings import (
     image_by_skewing,
     image_from_table,
@@ -23,7 +23,7 @@ from .embeddings import (
 )
 from .kr import quadratic_identity_check, rectangle_check
 from .partitions import partitions_through
-from .schur import FormalSum, _combination, schur_multiply
+from .schur import FormalSum, _sum_linear, _sum_of, _sum_product, schur_multiply
 
 
 def _rectangles(bound: int):
@@ -72,18 +72,19 @@ def ringhom(series, bound: int):
     """Images respect products of shapes of size <= bound (series known through 2 * bound)."""
     shapes = list(partitions_through(bound))
     for name, p in series:
-        images = {
-            lam: image_by_skewing(p, lam).as_sum() for lam in partitions_through(2 * bound)
-        }
+        images = {lam: _sum_of(image_by_skewing(p, lam)) for lam in partitions_through(2 * bound)}
         ok = all(_respects_product(images, mu, nu) for mu in shapes for nu in shapes)
         del p, images
         yield f"ringhom p={name} max-size={bound}", ok
 
 
 def _respects_product(images, mu, nu) -> bool:
+    """Whether f(s_mu) f(s_nu) = f(s_mu s_nu), both sides summed in ints
+    from the integer sums ``images`` and compared in lowest terms."""
     product = schur_multiply(FormalSum.single("schur", mu), FormalSum.single("schur", nu))
-    lhs = _combination((c, images[lam]) for lam, c in product.terms.items())
-    return lhs == bcd_multiply(images[mu], images[nu]).terms
+    lhs = _sum_linear((c, images[lam]) for lam, c in product.terms.items())
+    rhs = _sum_product(images[mu], images[nu], _nl_basis_product)
+    return lhs == _sum_linear(((1, rhs),))
 
 
 def identities(prop: str, tables, k: int):

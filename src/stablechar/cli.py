@@ -410,9 +410,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value may start with '-': a LAM/MU whose LAM is the empty
+# partition, or a negative rational.  argparse reads such a word as an
+# option of its own, so ``main`` joins it to its option: ``--skew=-/-``.
+_DASH_VALUED = ("--multiply", "--skew", "--a", "--b")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    words = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(words) - 1, 0, -1):
+        if words[i - 1] in _DASH_VALUED and words[i][:1] == "-" and words[i][:2] not in ("--", "-h"):
+            words[i - 1 : i + 1] = [f"{words[i - 1]}={words[i]}"]
+    args = parser.parse_args(words)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -11,18 +11,17 @@ constructions are provided and used as mutual oracles:
   the coefficients of p.
 * ``image_from_table(table, lam)`` pushes the table's generator images
   through the dual Jacobi-Trudi determinant with Newell-Littlewood
-  multiplication.  The images are scaled to integers first (the n-th times
-  L^n, with L the lcm of the denominators of the table's entries), so every
-  minor is an integer sum and a result is divided once, by L^{|lam|}.  The
-  minors are memoized per table, in the state that the table holds in its
-  ``_memo`` slot (see ``_table_state``), each keyed by the shape it is the
-  determinant of, so that every shape of the table shares them.  They live
-  as long as the table; ``cache.clear_all`` does not empty them.  The side is
-  chosen by the shape alone: a shape with fewer rows than columns is the
-  Jacobi-Trudi determinant det(h_{lam_i - i + j}) (Macdonald I.(3.4))
-  instead, of side len(lam) rather than lam_1, in the scaled images of the
-  single rows h_n, each a determinant in the generator images cut at the
-  same deficit, if any.
+  multiplication.  Each image and each minor is an integer sum with its own
+  denominator, the least one its value needs, and a result is divided once,
+  by its own.  The minors are memoized per table, in the state that the
+  table holds in its ``_memo`` slot (see ``_table_state``), each keyed by
+  the shape it is the determinant of, so that every shape of the table
+  shares them.  They live as long as the table; ``cache.clear_all`` does
+  not empty them.  The side is chosen by the shape alone: a shape with
+  fewer rows than columns is the Jacobi-Trudi determinant det(h_{lam_i - i
+  + j}) (Macdonald I.(3.4)) instead, of side len(lam) rather than lam_1, in
+  the images of the single rows h_n, each a determinant in the generator
+  images cut at the same deficit, if any.
 
 ``table_from_series`` bridges the two: the table of the embedding built
 from p has constants b_{i-j}, where 1 + b_1 x + b_2 x^2 + ... is the dual
@@ -36,13 +35,9 @@ import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .bcd import bcd_multiply
-from .partitions import (
-    EMPTY,
-    Partition,
-    subpartitions,
-)
-from .schur import BASES, FormalSum, _integers, _normalize, _skew_sum, dual_jacobi_trudi
+from .bcd import _nl_basis_product, bcd_multiply
+from .partitions import EMPTY, Partition, subpartitions
+from .schur import BASES, FormalSum, IntSum, _determinant, _normalize, _skew_sum, _sum_of, _terms
 from .series import Series, TruncationError, dual, kappa_coefficient, random_rational
 
 __all__ = [
@@ -309,37 +304,32 @@ def image_by_skewing(p: Series, lam: Partition) -> Decomposition:
     return Decomposition(lam, "sp", _skew_sum(lam, weights))
 
 
-def _table_state(table: EmbeddingTable) -> tuple[int, Callable, dict, Callable, dict]:
-    """(L, gen, memo, row, row_memo) for the table, where L is the lcm of the
-    denominators of its entries: gen(n) is L^n times generator image n,
-    row(n, max_deficit) is L^n times the image of the single row (n) cut at
-    that deficit, and the two empty memos hold the minors of determinants in
-    gen and in row.  A key u of ``memo`` stands for L^{|u|} times the image
-    of s_{u'}, but in ``row_memo`` for that of s_u, so the two are never
-    merged; ``image_from_table`` reads ``row_memo`` for the shapes with
-    fewer rows than columns and ``memo`` for the others.  The scaled
-    generator images are built once each.  A row image (n) is the top minor
-    (1^n) of ``memo`` at its deficit, so a row asked for again is read from
-    there.  ``image_from_table`` builds the state on first use and keeps it
-    in the table's ``_memo`` slot.  It reads the table's entries but holds
-    no reference to the table, so the two form no reference cycle and are
+def _table_state(table: EmbeddingTable) -> tuple[Callable, dict, Callable, dict]:
+    """(gen, memo, row, row_memo) for the table: gen(n) is generator image n
+    and row(n, max_deficit) the image of the single row (n) cut at that
+    deficit, each an integer sum with its own denominator (see
+    :mod:`stablechar.schur`), and the two empty memos hold the minors of
+    determinants in gen and in row.  A key u of ``memo`` stands for the
+    image of s_{u'}, but in ``row_memo`` for that of s_u, so the two are
+    never merged; ``image_from_table`` reads ``row_memo`` for the shapes
+    with fewer rows than columns and ``memo`` for the others.  The generator
+    images are built once each.  A row image (n) is the top minor (1^n) of
+    ``memo`` at its deficit, so a row asked for again is read from there.
+    ``image_from_table`` builds the state on first use and keeps it in the
+    table's ``_memo`` slot.  It reads the table's entries but holds no
+    reference to the table, so the two form no reference cycle and are
     freed by reference counting alone."""
-    entries = table._m
-    den, _ = _integers(entries.values())
-    scaled: dict[int, FormalSum] = {}
-    memo: dict = {}
+    entries, images, memo = table._m, {}, {}
 
-    def gen(n: int) -> FormalSum:
-        g = scaled.get(n)
-        if g is None:
-            g = scaled[n] = _generator_image(entries, n).scaled(den**n)
-        return g
+    def gen(n: int) -> IntSum:
+        if n not in images:
+            images[n] = _sum_of(_generator_image(entries, n))
+        return images[n]
 
-    def row(n: int, max_deficit: int | None) -> FormalSum:
-        shape = Partition._trusted((n,)) if n else EMPTY
-        return dual_jacobi_trudi(shape, gen, bcd_multiply, max_deficit, memo)
+    def row(n: int, max_deficit: int | None) -> IntSum:
+        return _determinant((1,) * n, gen, _nl_basis_product, max_deficit, memo)
 
-    return den, gen, memo, row, {}
+    return gen, memo, row, {}
 
 
 def image_from_table(
@@ -351,16 +341,14 @@ def image_from_table(
     largest generator index in the determinant.  ``max_deficit`` keeps only
     the top degrees (see :func:`stablechar.schur.dual_jacobi_trudi`).
 
-    The determinant runs on the generator images scaled to integer
-    coefficients, gen(n) = L^n times image n, and shares its minors with
-    every earlier call on the same table; the result is divided by
-    L^{|lam|}, the weight of the full matrix.
+    The determinant runs on the generator images as integer sums, each
+    minor in lowest terms, and shares its minors with every earlier call on
+    the same table; the result is divided once, by its own denominator.
 
     A shape with fewer rows than columns, truncated or not, is the
     Jacobi-Trudi determinant det(h_{lam_i - i + j}) instead, of side
-    len(lam) rather than lam_1, in the scaled row images h_n, each a
-    determinant in gen cut at the same deficit; it has the same weight, so
-    the same division.
+    len(lam) rather than lam_1, in the row images h_n, each a determinant in
+    gen cut at the same deficit.
     """
     need = len(lam) + lam.part(0) - 1
     if need > table.cutoff:
@@ -370,14 +358,12 @@ def image_from_table(
     state = table._memo
     if state is None:
         state = table._memo = _table_state(table)
-    den, gen, memo, row, row_memo = state
-    shape = lam
+    gen, memo, row, row_memo = state
+    u = lam.transpose().parts
     if len(lam) < lam.part(0):
-        shape, gen, memo = lam.transpose(), (lambda n: row(n, max_deficit)), row_memo
-    result = dual_jacobi_trudi(shape, gen, bcd_multiply, max_deficit, memo)
-    scale = den**lam.size
-    terms = {mu: _normalize(Fraction(c, scale)) for mu, c in result.terms.items()}
-    return Decomposition(lam, "sp", terms)
+        u, gen, memo = lam.parts, (lambda n: row(n, max_deficit)), row_memo
+    den, acc = _determinant(u, gen, _nl_basis_product, max_deficit, memo)
+    return Decomposition(lam, "sp", _terms(acc, den))
 
 
 # ---------------------------------------------------------------------------

@@ -46,16 +46,22 @@ shape.  ``_skew_sum`` over a rectangle takes no ids at all: distinct mu
 have distinct complements, so it builds one ``Partition`` per mu of its
 summed weights, registering none.
 
-``schur_multiply`` and ``bcd.bcd_multiply`` share one bilinear accumulation
-that scales both operands to integer coefficients, merges (mu, nu) and (nu,
-mu) into one unordered pair of ids before any basis product is looked up,
-adds ints, and divides once per output term; the minors of
-``dual_jacobi_trudi``, the kernel slices of ``series.kappa_expansion`` and
-the weighted skew sums of ``_skew_sum`` are summed the same way.  The last
-is one sum for both skewing routes: ``embeddings.image_by_skewing`` weights
-each subdiagram mu of lam by its kappa coefficient,
-``kr.kr_decomposition`` weights the even-row or even-column mu by 1, and
-``skew_expand`` weights its one mu by 1.
+Sums are taken in one integer form, the integer sum (den, {shape id:
+int}), each with its own denominator.  ``_sum_of`` reads a ``FormalSum``
+into one, ``_terms`` is the one writer of ``FormalSum`` terms, and between
+them ``_sum_product`` multiplies two integer sums and ``_sum_linear`` takes
+an integer combination of them, in lowest terms.  ``schur_multiply`` and
+``bcd.bcd_multiply`` are ``_sum_product`` between ``_sum_of`` and
+``_terms``: it merges (mu, nu) and (nu, mu) into one unordered pair of ids
+before any basis product is looked up, adds ints, and the result is
+divided once per output term.  The minors of ``dual_jacobi_trudi`` stay
+integer sums from the generators to the result, and ``checks.ringhom``
+sums both sides of each product in them.  The kernel slices of
+``series.kappa_expansion`` and the weighted skew sums of ``_skew_sum`` are
+summed in ints the same way.  The last is one sum for both skewing
+routes: ``embeddings.image_by_skewing`` weights each subdiagram mu of lam
+by its kappa coefficient, ``kr.kr_decomposition`` weights the even-row or
+even-column mu by 1, and ``skew_expand`` weights its one mu by 1.
 
 ``Partition`` objects are built only for the ``FormalSum`` a public
 function returns, and each is the one the registry keeps for its id
@@ -79,14 +85,17 @@ in the orientation whose content (the factor with fewer rows) is shorter:
 on mu' * nu', returned flipped, when min(mu_1, nu_1) is less than
 min(len(mu), len(nu)).
 
-``dual_jacobi_trudi`` is the ring-generic determinant evaluator used to
-rebuild images of arbitrary shapes from images of single columns (the
-e-basis Jacobi-Trudi identity, Macdonald I.(3.5)).  It expands along the
-first column, as ``series._minor`` does, so every minor is the determinant
-of a smaller shape and is memoized under that shape's conjugate parts, in a
-memo the caller may own and share across the shapes of one generator
-family.  It can truncate every minor below a degree floor (each minor is
-homogeneous in the generator grading, so the floor is well defined).
+``dual_jacobi_trudi`` is the determinant evaluator used to rebuild images
+of arbitrary shapes from images of single columns (the e-basis
+Jacobi-Trudi identity, Macdonald I.(3.5)); the basis of its unit picks the
+ring product.  It expands along the first column, as ``series._minor``
+does, so every minor is the determinant of a smaller shape and is memoized
+under that shape's conjugate parts, in a memo the caller may own and share
+across the shapes of one generator family.  ``_determinant`` runs the
+recursion on integer sums, each minor stored in lowest terms, and
+``embeddings.image_from_table`` calls it directly.  It can truncate every
+minor below a degree floor (each minor is homogeneous in the generator
+grading, so the floor is well defined).
 
 The memo tables of skew expansions and basis products (``skew`` and
 ``product``) live in :mod:`cache`, one entry per conjugate class.
@@ -98,7 +107,7 @@ registered only when a flipped read moves a sum to it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable
 
 from . import cache
@@ -620,18 +629,6 @@ def _terms(acc: dict[int, int], den: int = 1) -> dict[Partition, object]:
     return {_shape(key): _normalize(Fraction(c, den)) for key, c in acc.items() if c}
 
 
-def _combination(pairs) -> dict:
-    """Terms of the sum of c * x over the (int c, FormalSum x) in ``pairs``."""
-    scaled = [(c, *_integers(x.terms.values()), x.terms) for c, x in pairs]
-    den = 1
-    for _, d, _, _ in scaled:
-        den = lcm(den, d)
-    acc: dict[int, int] = {}
-    for c, d, ints, terms in scaled:
-        _accumulate(acc, zip([_shape_id(lam.parts) for lam in terms], ints), c * (den // d))
-    return _terms(acc, den)
-
-
 def _pair_products(pairs: dict, basis_product, min_degree: int | None = None) -> dict[int, int]:
     """The sum of factor * basis_product(p, q) over ``{(p, q): factor}``,
     the one reader of memo entries.
@@ -663,34 +660,62 @@ def _pair_products(pairs: dict, basis_product, min_degree: int | None = None) ->
     return acc
 
 
-def _bilinear(a: FormalSum, b: FormalSum, basis_product, min_degree: int | None = None) -> dict:
-    """Terms of the bilinear extension of a commutative ``basis_product``.
+# An integer sum (den, {shape id: int}) stands for the sum of int / den *
+# s_id (sp_id, o_id): each sum carries its own denominator.  ``_sum_of``
+# reads a ``FormalSum`` into one and ``_terms`` writes one back.
+IntSum = tuple[int, dict[int, int]]
 
-    Both operands are scaled to integer coefficients first, and (mu, nu)
-    and (nu, mu) are merged into one pair before any basis product is
-    looked up, so the inner loop adds ints; each output coefficient is
-    divided once at the end.  With ``min_degree`` set, pairs and terms of
-    lower degree are dropped.
+
+def _sum_of(x) -> IntSum:
+    """The integer sum of the terms of x, a ``FormalSum`` or a
+    ``Decomposition``, its denominator the lcm of theirs."""
+    den, ints = _integers(x.terms.values())
+    return den, dict(zip([_shape_id(lam.parts) for lam in x.terms], ints))
+
+
+def _sum_product(a: IntSum, b: IntSum, basis_product, min_degree: int | None = None) -> IntSum:
+    """The bilinear extension of a commutative ``basis_product`` to two
+    integer sums, over the product of their denominators.
+
+    (mu, nu) and (nu, mu) are merged into one pair before any basis product
+    is looked up, so the inner loop adds ints.  With ``min_degree`` set,
+    pairs and terms of lower degree are dropped.  Zero sums are kept.
     """
-    den_a, coeffs_a = _integers(a.terms.values())
-    den_b, coeffs_b = _integers(b.terms.values())
-    terms_b = [(_shape_id(nu.parts), nu.size, cn) for nu, cn in zip(b.terms, coeffs_b)]
+    sizes = _size_of
+    terms_b = [(q, sizes[q], cq) for q, cq in b[1].items()]
     pairs: dict[tuple, int] = {}
-    for mu, cm in zip(a.terms, coeffs_a):
-        p, size = _shape_id(mu.parts), mu.size
-        for q, nu_size, cn in terms_b:
-            if min_degree is not None and size + nu_size < min_degree:
+    for p, cp in a[1].items():
+        size = sizes[p]
+        for q, q_size, cq in terms_b:
+            if min_degree is not None and size + q_size < min_degree:
                 continue
             pair = (p, q) if p <= q else (q, p)
-            pairs[pair] = pairs.get(pair, 0) + cm * cn
-    return _terms(_pair_products(pairs, basis_product, min_degree), den_a * den_b)
+            pairs[pair] = pairs.get(pair, 0) + cp * cq
+    return a[0] * b[0], _pair_products(pairs, basis_product, min_degree)
+
+
+def _sum_linear(pairs) -> IntSum:
+    """The sum of c * x over the (int c, integer sum x) in ``pairs``, in
+    lowest terms: zero sums dropped and the denominator the least one, so
+    that equal values are equal integer sums."""
+    pairs = list(pairs)
+    den = lcm(*(d for _, (d, _) in pairs))
+    acc: dict[int, int] = {}
+    for c, (d, terms) in pairs:
+        _accumulate(acc, terms.items(), c * (den // d))
+    acc = {key: c for key, c in acc.items() if c}
+    g = gcd(den, *acc.values())
+    if g == 1:
+        return den, acc
+    return den // g, {key: c // g for key, c in acc.items()}
 
 
 def schur_multiply(a: FormalSum, b: FormalSum) -> FormalSum:
     """Bilinear extension of the Littlewood-Richardson product."""
     if a.basis != "schur" or b.basis != "schur":
         raise BasisMismatchError("schur_multiply needs both operands in the schur basis")
-    return FormalSum._raw("schur", _bilinear(a, b, _schur_basis_product))
+    den, acc = _sum_product(_sum_of(a), _sum_of(b), _schur_basis_product)
+    return FormalSum._raw("schur", _terms(acc, den))
 
 
 def omega(a: FormalSum) -> FormalSum:
@@ -707,22 +732,47 @@ def omega(a: FormalSum) -> FormalSum:
 # ---------------------------------------------------------------------------
 
 
+def _determinant(u: tuple, gen, basis_product, max_deficit: int | None, memo: dict) -> IntSum:
+    """The integer sum of the determinant with (i, j) entry gen(u_i - i + j),
+    the dual Jacobi-Trudi determinant of the shape u'; ``gen(n)`` is an
+    integer sum and ``basis_product`` the ring's (see ``dual_jacobi_trudi``,
+    which documents the recursion, the truncation and the memo)."""
+    if not u:
+        return gen(0)
+    key = (u, max_deficit)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    floor = None if max_deficit is None else sum(u) - max_deficit
+    expansion = []
+    head = ()
+    for k, uk in enumerate(u):
+        if uk < k:
+            break
+        sub = _determinant(head + u[k + 1 :], gen, basis_product, max_deficit, memo)
+        expansion.append((-1 if k & 1 else 1, _sum_product(gen(uk - k), sub, basis_product, floor)))
+        head += (uk + 1,)
+    got = memo[key] = _sum_linear(expansion)
+    return got
+
+
 def dual_jacobi_trudi(
     lam: Partition,
     gen: Callable[[int], FormalSum],
-    mult: Callable[[FormalSum, FormalSum], FormalSum],
     max_deficit: int | None = None,
     memo: dict | None = None,
 ) -> FormalSum:
     """Determinant of the matrix with (i, j) entry gen(lam'_i - i + j).
 
     ``gen(0)`` must be the ring unit and ``gen(n) = 0`` for n < 0 is implied
-    (such entries prune the expansion).  ``mult`` supplies the ring product.
+    (such entries prune the expansion).  The basis of ``gen(0)`` fixes the
+    product: Littlewood-Richardson on schur, Newell-Littlewood on sp and o.
     With ``max_deficit`` set, every minor is truncated to terms of degree at
     least (its generator weight) - max_deficit; minors are homogeneous in
     that weight, so this computes the top ``max_deficit`` degrees of the
-    full determinant exactly.  In that mode ``mult`` is called with a third
-    argument, the degree floor of the product, so it can skip dead terms.
+    full determinant exactly.  Each product then skips the terms below the
+    minor's degree floor; the schur product takes no floor, so on schur
+    ``max_deficit`` must be None.
 
     The determinant is expanded along its first column, the recursion of
     :func:`stablechar.series._minor`.  With u = lam' the entries are
@@ -732,34 +782,15 @@ def dual_jacobi_trudi(
     first k with u_k < k.  A minor is keyed by (u, max_deficit): it is the
     determinant of the shape u', its weight is |u| and its degree floor
     |u| - max_deficit.  A minor that several shapes share is thus computed
-    once per ``memo``.  Pass a dict to share minors across calls; one memo
-    serves one ``gen`` and one ``mult``.  Without it each call starts a
-    fresh one.
+    once per ``memo``.  Every minor is an integer sum in lowest terms, so it
+    carries the denominator its value needs.  Pass a dict to share minors
+    across calls; one memo serves one ``gen``.  Without it each call starts
+    a fresh one.
     """
-    unit = gen(0)
-    if memo is None:
-        memo = {}
+    from .bcd import _nl_basis_product  # bcd imports this module
 
-    def minor(u: tuple) -> FormalSum:
-        if not u:
-            return unit
-        key = (u, max_deficit)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        floor = None if max_deficit is None else sum(u) - max_deficit
-        expansion = []
-        head = ()
-        for k, uk in enumerate(u):
-            if uk < k:
-                break
-            g = gen(uk - k)
-            sub = minor(head + u[k + 1 :]) if g else None
-            if sub:
-                term = mult(g, sub) if floor is None else mult(g, sub, floor)
-                expansion.append((-1 if k & 1 else 1, term))
-            head += (uk + 1,)
-        got = memo[key] = FormalSum._raw(unit.basis, _combination(expansion))
-        return got
-
-    return minor(lam.transpose().parts)
+    basis = gen(0).basis
+    basis_product = _schur_basis_product if basis == "schur" else _nl_basis_product
+    u, memo = lam.transpose().parts, {} if memo is None else memo
+    den, acc = _determinant(u, lambda n: _sum_of(gen(n)), basis_product, max_deficit, memo)
+    return FormalSum._raw(basis, _terms(acc, den))

@@ -252,7 +252,7 @@ def _minor(u: tuple, v: tuple, scaled: tuple, memo: dict) -> int:
     u^(k) = (u_0+1, ..., u_{k-1}+1, u_{k+1}, ...) over v[1:].  The entry
     index u_k - v_0 - k strictly decreases in k, so the loop stops at the
     first negative one.  :func:`stablechar.schur.dual_jacobi_trudi` runs
-    the same recursion with v empty over a ring of formal sums; this one
+    the same recursion with v empty over integer sums of a ring; this one
     stays separate as the integer path of the kernel coefficients.
     """
     if not u:

@@ -9,8 +9,7 @@ import pytest
 
 from stablechar import checks
 from stablechar.embeddings import Decomposition, table_from_series
-from stablechar.partitions import EMPTY, Partition
-from stablechar.schur import FormalSum
+from stablechar.partitions import EMPTY, Partition, _shape_id
 from stablechar.series import Series
 
 SERIES = [("one", Series.one()), ("geom", Series.geom(6))]
@@ -52,15 +51,16 @@ def test_oracle_fails_when_the_routes_differ(monkeypatch):
 
 
 def test_ringhom_fails_when_a_product_differs(monkeypatch):
-    bcd_multiply = checks.bcd_multiply
+    sum_product = checks._sum_product
+    box = _shape_id((1,))
 
-    def one_wrong_product(a, b):
-        product = bcd_multiply(a, b)
-        if a.terms.keys() == b.terms.keys() == {Partition((1,))}:
-            return product + FormalSum.single("sp", EMPTY)
-        return product
+    def one_wrong_product(a, b, *args):
+        den, product = sum_product(a, b, *args)
+        if a[1].keys() == b[1].keys() == {box}:
+            return den, {**product, 0: product.get(0, 0) + den}  # plus sp[]
+        return den, product
 
-    monkeypatch.setattr(checks, "bcd_multiply", one_wrong_product)
+    monkeypatch.setattr(checks, "_sum_product", one_wrong_product)
     one = SERIES[:1]  # the image of s[1] is sp[1] only for this series
     assert [ok for _, ok in checks.ringhom(one, 1)] == [False]
     assert [ok for _, ok in checks.ringhom(one, 0)] == [True]
