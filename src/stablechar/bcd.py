@@ -15,26 +15,28 @@ same numbers.
 ``_nl_basis_product`` merges the (beta, gamma) pairs of every alpha into
 one order-free dict, keyed by pairs of shape ids, before it looks up any
 s_beta * s_gamma.  Given a degree floor from ``bcd_multiply(...,
-min_degree)`` it sums only the alpha that reach the floor.
+min_degree)`` it sums only the alpha that reach the floor.  Every skew
+multiplicity, pair weight and Schur multiplicity it sums is positive, so
+no sum is zero.
 
-The memo tables live in :mod:`cache`, keyed by shape ids (see
+The memo table ``nl`` lives in :mod:`cache`, keyed by shape ids (see
 :mod:`stablechar.partitions`) and holding the (ids, mults) entries of
-:mod:`stablechar.schur`, which ``schur._entry`` builds: ``nl`` holds full
-basis products, keyed by the unordered pair (p, q) with p <= q, and
-``nl_truncated`` products cut below a floor, keyed (p, q, largest
-|alpha|).  A cached full product also answers truncated requests.
+:mod:`stablechar.schur`, which ``schur._entry`` builds.  A full basis
+product is keyed by the unordered pair (p, q) with p <= q, and a product
+cut below a floor by (p, q, top), top the largest |alpha| it sums.  A
+cached full product also answers a floored request: ``_pair_products``
+drops its terms below the floor.
 
 The constants are invariant under conjugating all three shapes,
 N^lam_{mu,nu} = N^{lam'}_{mu',nu'} (Koike-Terada, J. Algebra 107, 1987),
 and conjugation keeps |alpha|.  So, as in :mod:`stablechar.schur`, one
-entry serves the pair (p, q) and its conjugate pair (p', q'), full or
-truncated at the same |alpha|.  ``_nl_basis_product`` looks up the
-requested key, then the conjugate key, and returns (entry, flipped)
-without copying the entry; ``schur._pair_products`` reads it.  A product
-neither key answers is computed as requested and stored under the
-requested key.  Each of its skews s_{p/alpha} is read through
-``_pair_products`` too, so its ids are in the requested orientation before
-the (beta, gamma) pairs are formed.
+entry serves the pair (p, q) and its conjugate pair (p', q'), full or cut
+at the same |alpha|.  ``_nl_basis_product`` looks up the requested key,
+then the conjugate key, and returns (entry, flipped) without copying the
+entry; ``schur._pair_products`` reads it.  A product neither key answers
+is computed as requested and stored under the requested key.  Each of its
+skews s_{p/alpha} is read through ``_pair_products`` too, so its ids are
+in the requested orientation before the (beta, gamma) pairs are formed.
 """
 
 from __future__ import annotations
@@ -57,9 +59,6 @@ from .schur import (
 __all__ = ["bcd_multiply"]
 
 _nl_cache: dict[tuple, Entry] = cache.table("nl")
-# Products truncated below a degree floor, keyed (p, q, largest |alpha|);
-# the full products are in ``nl``.
-_nl_truncated_cache: dict[tuple, Entry] = cache.table("nl_truncated")
 
 
 def _meet(mu: tuple, nu: tuple) -> Partition:
@@ -77,30 +76,32 @@ def _nl_basis_product(
     requested, so it is never flipped.
 
     A term of degree |mu| + |nu| - 2|alpha| comes from alpha alone, so a
-    floor bounds |alpha|; conjugation keeps |alpha|, so a truncated entry
-    answers both orientations at the same bound.  The (beta, gamma) pairs
-    of every alpha are merged into one order-free dict before any s_beta *
-    s_gamma is looked up.
+    floor bounds |alpha| by ``top``; conjugation keeps |alpha|, so a cut
+    entry answers both orientations at the same bound.  A full entry, which
+    answers every floor, is looked up before a cut one, and an entry may
+    thus hold terms below the floor.  The (beta, gamma) pairs of every alpha
+    are merged into one order-free dict before any s_beta * s_gamma is
+    looked up.
     """
     key = (p, q)
     cached = _nl_cache.get(key)
     if cached is None and min_degree is not None:
-        top = (_size_of[p] + _size_of[q] - min_degree) // 2  # largest |alpha| that counts
-        cached = _nl_truncated_cache.get(key + (top,))
+        top = (_size_of[p] + _size_of[q] - min_degree) // 2
+        cached = _nl_cache.get(key + (top,))
     if cached is not None:
         return cached, False
     pt, qt = _conjugate_id(p), _conjugate_id(q)
     key_t = (pt, qt) if pt <= qt else (qt, pt)
     cached = _nl_cache.get(key_t)
     if cached is None and min_degree is not None:
-        cached = _nl_truncated_cache.get(key_t + (top,))
+        cached = _nl_cache.get(key_t + (top,))
     if cached is not None:
         return cached, True
     meet = _meet(_parts_of[p], _parts_of[q])
     if min_degree is None or top >= meet.size:
-        top, memo = meet.size, _nl_cache
+        top = meet.size
     else:
-        key, memo = key + (top,), _nl_truncated_cache
+        key += (top,)
     pairs: dict[tuple, int] = {}
     for alpha in subpartitions(meet):
         if alpha.size > top:
@@ -112,8 +113,8 @@ def _nl_basis_product(
             for g, cg in right:
                 pair = (b, g) if b <= g else (g, b)
                 pairs[pair] = pairs.get(pair, 0) + cb * cg
-    sums = {t: c for t, c in _pair_products(pairs, _schur_basis_product).items() if c}
-    out = memo[key] = _entry(sums, sums.values())
+    sums = _pair_products(pairs, _schur_basis_product)
+    out = _nl_cache[key] = _entry(sums, sums.values())
     return out, False
 
 

@@ -396,10 +396,11 @@ def _complement(box: tuple, inner: tuple) -> tuple:
     return (width,) * (len(box) - len(inner)) + rest
 
 
-def _skew(lam: int, mu: int) -> tuple[Entry, bool]:
+def _skew(lam: int, mu: int, min_degree: int | None = None) -> tuple[Entry, bool]:
     """(entry, flipped): the memo entry of lam/mu for shape ids lam and mu,
     mu inside lam, and whether it is the entry of lam'/mu', whose terms are
-    the conjugates of those of lam/mu.
+    the conjugates of those of lam/mu.  Every term has degree |lam| - |mu|,
+    so a degree floor (``_pair_products`` passes one) is ignored.
 
     A rectangle lam skews to its ``_complement`` of mu alone; that entry is
     built on each call and never stored."""
@@ -493,7 +494,9 @@ def _strip_product(base_parts: tuple, content_parts: tuple) -> dict[tuple, int]:
 # ... of ``base``, ``basez`` being base with a zero row appended.  ``cum``
 # counts the strip's cells in rows 0..r-1, ``new`` holds rows 0..r-1 of the
 # grown shape, and ``prev[r]`` bounds the cells of the strip in rows 0..r
-# (the prefix condition).  A strip can put at most ``base[r]`` cells in the
+# (the prefix condition).  ``prev`` was stored clamped to the length of the
+# strip it bounds (level 0's is that length), so ``prev[r] - cum`` never
+# exceeds ``remaining``.  A strip can put at most ``base[r]`` cells in the
 # rows below row r, so row r takes at least ``remaining - base[r]`` cells and
 # no branch runs out of room.  Rows with a single choice are taken in the
 # loop, and the choice that places every remaining cell in row r adds its
@@ -510,8 +513,6 @@ def _strip_states(merged, count, base, basez, prev, clamp, r, remaining, cum, ne
         cap = prev[r] - cum
         if r and cap > basez[r - 1] - here:
             cap = basez[r - 1] - here
-        if cap > remaining:
-            cap = remaining
         least = remaining - here if remaining > here else 0
         if cap != least:
             break
@@ -544,8 +545,6 @@ def _last_strip(merged, count, base, basez, prev, r, remaining, cum, new):
         cap = prev[r] - cum
         if r and cap > basez[r - 1] - here:
             cap = basez[r - 1] - here
-        if cap > remaining:
-            cap = remaining
         least = remaining - here if remaining > here else 0
         if cap != least:
             break
@@ -573,10 +572,12 @@ def _product_order(mu: tuple, nu: tuple) -> tuple[tuple, tuple]:
     return mu, nu
 
 
-def _schur_basis_product(p: int, q: int) -> tuple[Entry, bool]:
+def _schur_basis_product(p: int, q: int, min_degree: int | None = None) -> tuple[Entry, bool]:
     """(entry, flipped): s_p * s_q for the ids p <= q of nonempty shapes, as
     a memo entry, and whether it is the entry of s_p' * s_q', whose terms
-    are the conjugates of those of s_p * s_q.
+    are the conjugates of those of s_p * s_q.  Every term has degree |p| +
+    |q|, so a degree floor is ignored: ``_sum_product`` skips a pair below
+    it before the product is looked up.
 
     A product neither orientation has stored is built, and stored, in the
     orientation whose content is shorter, the requested one on a tie."""
@@ -597,28 +598,17 @@ def _schur_basis_product(p: int, q: int) -> tuple[Entry, bool]:
     return cached, key != (p, q)
 
 
-def _accumulate(acc: dict[int, int], items, factor: int, min_degree: int | None = None) -> None:
-    """Add factor * mult into ``acc`` for each (shape id, mult) of degree >=
-    min_degree.  The sums are divided by a common denominator once, by
-    ``_terms``.  A factor of 1, the most common, skips the multiply."""
+def _accumulate(acc: dict[int, int], items, factor: int) -> None:
+    """Add factor * mult into ``acc`` for each (shape id, mult) of ``items``.
+    The sums are divided by a common denominator once, by ``_terms``.  A
+    factor of 1, the most common, skips the multiply."""
     get = acc.get
-    if min_degree is None:
-        if factor == 1:
-            for key, mult in items:
-                acc[key] = get(key, 0) + mult
-        else:
-            for key, mult in items:
-                acc[key] = get(key, 0) + factor * mult
+    if factor == 1:
+        for key, mult in items:
+            acc[key] = get(key, 0) + mult
     else:
-        sizes = _size_of
-        if factor == 1:
-            for key, mult in items:
-                if sizes[key] >= min_degree:
-                    acc[key] = get(key, 0) + mult
-        else:
-            for key, mult in items:
-                if sizes[key] >= min_degree:
-                    acc[key] = get(key, 0) + factor * mult
+        for key, mult in items:
+            acc[key] = get(key, 0) + factor * mult
 
 
 def _terms(acc: dict[int, int], den: int = 1) -> dict[Partition, object]:
@@ -630,33 +620,34 @@ def _terms(acc: dict[int, int], den: int = 1) -> dict[Partition, object]:
 
 
 def _pair_products(pairs: dict, basis_product, min_degree: int | None = None) -> dict[int, int]:
-    """The sum of factor * basis_product(p, q) over ``{(p, q): factor}``,
-    the one reader of memo entries.
+    """The sum of factor * basis_product(p, q, min_degree) over ``{(p, q):
+    factor}``, the one reader of memo entries.
 
     p and q are shape ids, and so are the arguments of ``basis_product``,
     which returns (entry, flipped) as ``_skew`` and the basis products do.
     A pair with p = 0 needs no entry: a product pair is stored with p <= q,
     so the empty shape (id 0) can only come first and the product is the
     other factor, and the only skew of the empty shape is empty/empty.
-    With ``min_degree`` set, ``basis_product`` gets the floor as a third
-    argument and terms below it are dropped (conjugation keeps the degree).
     The entries read flipped are summed apart, and each of those sums is
-    moved to the conjugate shape once.
+    moved to the conjugate shape once.  With ``min_degree`` set, the terms
+    below it are then dropped, once: ``basis_product`` may use the floor to
+    bound its work, but an entry it returns may hold lower terms (a full
+    Newell-Littlewood product answers a floored request).
     """
     acc: dict[int, int] = {}
     flipped_acc: dict[int, int] = {}
     for (p, q), factor in pairs.items():
         if not factor:
             continue
-        if not p:
-            products, flipped = ((q,), b"\x01"), False
-        elif min_degree is None:
-            products, flipped = basis_product(p, q)
-        else:
+        if p:
             products, flipped = basis_product(p, q, min_degree)
-        _accumulate(flipped_acc if flipped else acc, _entry_items(products), factor, min_degree)
+        else:
+            products, flipped = ((q,), b"\x01"), False
+        _accumulate(flipped_acc if flipped else acc, _entry_items(products), factor)
     if flipped_acc:
         _accumulate(acc, zip(map(_conjugate_id, flipped_acc), flipped_acc.values()), 1)
+    if min_degree is not None:
+        acc = {key: c for key, c in acc.items() if _size_of[key] >= min_degree}
     return acc
 
 
@@ -771,8 +762,8 @@ def dual_jacobi_trudi(
     least (its generator weight) - max_deficit; minors are homogeneous in
     that weight, so this computes the top ``max_deficit`` degrees of the
     full determinant exactly.  Each product then skips the terms below the
-    minor's degree floor; the schur product takes no floor, so on schur
-    ``max_deficit`` must be None.
+    minor's degree floor (on schur, whose basis products are homogeneous,
+    it skips whole pairs of terms).
 
     The determinant is expanded along its first column, the recursion of
     :func:`stablechar.series._minor`.  With u = lam' the entries are

@@ -138,18 +138,55 @@ def test_truncated_rational_products_match_full_products():
         full = bcd_multiply(a, b)
         for floor, product in truncated.items():
             assert product == full.restricted(min_degree=floor), floor
-    assert cache.table("nl_truncated")
-    # Only full products reach the ``nl`` table, whose keys and entries are
-    # shape ids; the registry names their parts.
+    # The ``nl`` table holds full products under (p, q) and products cut
+    # below a floor under (p, q, top), top the largest |alpha| they sum; its
+    # keys and entries are shape ids, and the registry names their parts.
+    assert any(len(key) == 3 for key in cache.table("nl"))
     stored = {
         key: {Partition(_parts_of[t]): c for t, c in _entry_items(value)}
         for key, value in cache.table("nl").items()
     }
     cache.clear_all()
-    for (p, q), value in stored.items():
+    for (p, q, *top), value in stored.items():
         mu, nu = Partition(_parts_of[p]), Partition(_parts_of[q])
         again = bcd_multiply(FormalSum.single("sp", mu), FormalSum.single("sp", nu))
-        assert again.terms == value, (mu, nu)
+        if top:
+            again = again.restricted(min_degree=mu.size + nu.size - 2 * top[0])
+        assert again.terms == value, (mu, nu, top)
+
+
+def test_cached_full_products_answer_every_floor(monkeypatch):
+    # The full products go first, so every floored request below is
+    # answered by a full entry, as stored and then, on the conjugate sums,
+    # flipped; no cut entry is computed.  The floor is applied once, to
+    # the sum of the entries read.
+    floored_reads = []
+    original = bcd._nl_basis_product
+
+    def recorded(p, q, min_degree=None):
+        got = original(p, q, min_degree)
+        if min_degree is not None:
+            floored_reads.append(got[1])
+        return got
+
+    monkeypatch.setattr(bcd, "_nl_basis_product", recorded)
+    rng = random.Random(2718)
+    pool = list(partitions_through(5))
+    for _ in range(12):
+        cache.clear_all()
+        a, b = _random_sp_sum(rng, pool), _random_sp_sum(rng, pool)
+        full = bcd_multiply(a, b)
+        top = max(mu.size for mu in a.terms) + max(nu.size for nu in b.terms)
+        for floor in range(top + 1, -1, -1):
+            assert bcd_multiply(a, b, min_degree=floor) == full.restricted(min_degree=floor), floor
+        # N^lam_{mu,nu} = N^{lam'}_{mu',nu'}: the conjugate sums' product is
+        # omega(full).
+        a_t, b_t, full_t = omega(a), omega(b), omega(full)
+        for floor in range(top + 1, -1, -1):
+            got = bcd_multiply(a_t, b_t, min_degree=floor)
+            assert got == full_t.restricted(min_degree=floor), floor
+        assert all(len(key) == 2 for key in cache.table("nl"))
+    assert False in floored_reads and True in floored_reads
 
 
 def _newell_littlewood_product(a, b, min_degree):

@@ -569,6 +569,10 @@ PINNED_STDOUT = [
     ("verify --prop ringhom --max-size 4", "226600e7eaf7c6bc974a3eac96efe062f02e36062b303b7f3a5c78858bf33345"),
     ("verify --prop eqquad --max 3", "01b0eb16b04991ed2e2053bcdec1012f1809d7bbbb7f31923d5d3a1786c58d99"),
     ("scan --a 1 --b 1/2 --json", "0e3ca10e8f5fba2d229b88e46be690c9dce17aba570e22d6ae1bc632fec178b1"),
+    ("verify --prop kr --max 3", "eef0793fe054d5f857b243148598450c7cb0835027517a93f1a710d7e6f85393"),
+    ("verify --prop parity --k 4", "542fa36bbaebcbd6d21e1ce477c4ab1a12409aca482b8d33f379215b55f08214"),
+    ("verify --prop linear --k 12 --trials 1 --seed 3 --d 3", "dadd0ce56ba8bcd968037f1b1bb000b4dc059448ffdfff2e483f2438be189476"),
+    ("kappa --series geom2 --degree 8 --check-positivity", "8ab9fedab7e1e5df5edf76ec1c70600cfaf3ef2a18d07f97acc3121d09b91a16"),
 ]
 
 

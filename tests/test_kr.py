@@ -213,7 +213,7 @@ def test_conjugate_family_square_identity_adds_no_memo_entry(monkeypatch):
     # W_BD(h x w) is W_C(w x h) with every shape conjugated, so once family
     # C has checked the square identity at w x h, family BD at h x w reads
     # every skew and product it needs, flipped, from the entries C stored.
-    tables = [cache.table(name) for name in ("skew", "product", "nl", "nl_truncated")]
+    tables = [cache.table(name) for name in ("skew", "product", "nl")]
     kernels = []  # the arguments of every strip product and lattice filling
     for name in ("_strip_product", "_lattice_fillings"):
 

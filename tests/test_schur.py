@@ -130,24 +130,22 @@ def test_strip_product_matches_oracle_on_every_small_pair():
 
 def test_unit_factor_accumulates_as_any_other():
     # _accumulate adds a factor of 1 in a loop of its own; it adds what
-    # factor * mult adds, in the same key order, with and without a floor.
+    # factor * mult adds, in the same key order.
     ids = [_shape_id(p.parts) for p in partitions_through(5)]
     items = [(ids[i % len(ids)], m) for i, m in enumerate((1, 3, 255, 256, 7, 2, 1) * 5)]
-    for min_degree in (None, 3):
-        for factor in (1, -1, 2, 300):
-            acc = {ids[4]: 5, ids[0]: -2}
-            expected = dict(acc)
-            for key, mult in items:
-                if min_degree is None or _size_of[key] >= min_degree:
-                    expected[key] = expected.get(key, 0) + factor * mult
-            schur._accumulate(acc, iter(items), factor, min_degree)
-            assert acc == expected and list(acc) == list(expected), (factor, min_degree)
+    for factor in (1, -1, 2, 300):
+        acc = {ids[4]: 5, ids[0]: -2}
+        expected = dict(acc)
+        for key, mult in items:
+            expected[key] = expected.get(key, 0) + factor * mult
+        schur._accumulate(acc, iter(items), factor)
+        assert acc == expected and list(acc) == list(expected), factor
 
 
 def test_pair_products_skip_a_zero_factor():
     asked = []
 
-    def product(p, q):
+    def product(p, q, min_degree):
         asked.append((p, q))
         return ((q,), b"\x01"), False
 
@@ -297,9 +295,9 @@ def test_a_miss_stores_one_entry_in_the_orientation_computed(monkeypatch):
             floor = None if top is None else _size_of[p] + _size_of[q] - 2 * top
             entry, flipped = bcd._nl_basis_product(p, q, floor)
             meet = sum(map(min, _parts_of[p], _parts_of[q]))
-            name, key = ("nl", (p, q)) if top is None or top >= meet else ("nl_truncated", (p, q, top))
-            assert list(cache.table(name)) == [key] and not flipped, (p, q, top)
-            assert cache.table(name)[key] is entry
+            key = (p, q) if top is None or top >= meet else (p, q, top)
+            assert list(cache.table("nl")) == [key] and not flipped, (p, q, top)
+            assert cache.table("nl")[key] is entry
     assert columns in not_the_smaller_key
     for lam in partitions_through(5):
         if lam and lam.parts[0] != lam.parts[-1]:  # a rectangle's skew is never stored
@@ -313,7 +311,8 @@ def test_a_miss_stores_one_entry_in_the_orientation_computed(monkeypatch):
 
 def test_kernel_tables_are_keyed_by_shape_ids(monkeypatch):
     # skew is keyed (lam, mu), the products by the unordered pair (p, q)
-    # with p <= q, and nl_truncated adds the largest |alpha|: all ints.
+    # with p <= q, and a cut Newell-Littlewood product adds the largest
+    # |alpha|: all ints.
     a = FormalSum("schur", {Partition((2, 1)): 1, Partition((3,)): 2, EMPTY: 1})
     b = FormalSum("schur", {Partition((2, 2)): Fraction(1, 2), Partition((1, 1)): -1})
     sp_a, sp_b = FormalSum("sp", a.terms), FormalSum("sp", b.terms)
@@ -327,11 +326,12 @@ def test_kernel_tables_are_keyed_by_shape_ids(monkeypatch):
 
     first = products(a, b, sp_a, sp_b)
     kr_decomposition(Partition((3, 2, 1)), "C")
-    tables = {name: cache.table(name) for name in ("skew", "product", "nl", "nl_truncated")}
+    tables = {name: cache.table(name) for name in ("skew", "product", "nl")}
+    assert {len(key) for key in tables["nl"]} == {2, 3}  # full and cut products
     for name, table in tables.items():
         assert table, name
         for key in table:
-            assert type(key) is tuple and len(key) == (3 if name == "nl_truncated" else 2)
+            assert type(key) is tuple and len(key) in ((2, 3) if name == "nl" else (2,))
             assert all(type(i) is int for i in key), (name, key)
             if name != "skew":
                 assert key[0] <= key[1], (name, key)
@@ -503,6 +503,15 @@ def test_dual_jacobi_trudi_single_column_is_generator():
 def test_dual_jacobi_trudi_row_example():
     # det [[e1, e2], [1, e1]] = s_2
     assert dual_jacobi_trudi(Partition((2,)), column_gen) == s(2)
+
+
+def test_dual_jacobi_trudi_on_schur_generators_takes_a_deficit():
+    # Every minor on schur columns is homogeneous of its weight, so no
+    # deficit drops a term: the truncated determinant is the full one.
+    for lam in partitions_through(6):
+        full = dual_jacobi_trudi(lam, column_gen)
+        for deficit in range(3):
+            assert dual_jacobi_trudi(lam, column_gen, deficit) == full, (lam, deficit)
 
 
 def test_dual_jacobi_trudi_matches_leibniz_oracle():
